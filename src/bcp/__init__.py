@@ -3,7 +3,7 @@
 Solvers for the min-max objective (a pseudo-polynomial k/2-approximation and
 its polynomial scaled variant), an exhaustive exact oracle for both
 objectives, and an exact vertex-cover-parameterized solver for the
-unweighted max-min objective.
+unweighted max-min objective.  Everything else lives in the submodules.
 """
 
 from .errors import (
@@ -14,118 +14,27 @@ from .errors import (
     InternalError,
     ParseError,
 )
-from .graph import (
-    VertexSet,
-    WeightedGraph,
-    boundary_neighbors,
-    components,
-    is_connected,
-    non_cut_vertex,
-    split_two,
-)
-from .partition import (
-    Partition,
-    StarCenterCertificate,
-    average_weight_bound,
-    cut_vertex_bound,
-    order3,
-    validate,
-    w_minus,
-    w_plus,
-)
-from .minmax import (
-    BcpkResult,
-    Certificate,
-    PullMove,
-    initial_3partition,
-    merge,
-    minmax_bcp3,
-    minmax_bcpk,
-    pull,
-    pull_check,
-    split_off_singletons,
-    star_center_certificate,
-)
-from .scaling import Direction, ScaledInstance, eps_maxmin, eps_minmax_bcpk, scale
-from .oracle import (
-    EnumerationBudget,
-    enumerate_connected_kpartitions,
-    exact_maxmin,
-    exact_minmax,
-    oracle_pull_admissible,
-)
-from .fpt import (
-    CutConstraint,
-    CutHypergraph,
-    FptModel,
-    FptResult,
-    VertexCoverDecomposition,
-    build_hypergraph,
-    decompose,
-    greedy_vertex_cover,
-    reconstruct,
-    separate,
-    solve_fpt_maxmin,
-)
-from .instances import generate, parse_instance, write_instance
+from .fpt import solve_fpt_maxmin
+from .graph import WeightedGraph
+from .minmax import minmax_bcpk
+from .oracle import exact_maxmin, exact_minmax
+from .partition import w_plus
+from .scaling import eps_minmax_bcpk
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BcpError",
-    "BcpkResult",
     "BudgetExceeded",
-    "Certificate",
     "ContractViolation",
-    "CutConstraint",
-    "CutHypergraph",
-    "Direction",
-    "EnumerationBudget",
-    "FptModel",
-    "FptResult",
     "InputError",
     "InternalError",
     "ParseError",
-    "Partition",
-    "PullMove",
-    "ScaledInstance",
-    "StarCenterCertificate",
-    "VertexCoverDecomposition",
-    "VertexSet",
     "WeightedGraph",
-    "average_weight_bound",
-    "boundary_neighbors",
-    "build_hypergraph",
-    "components",
-    "cut_vertex_bound",
-    "decompose",
-    "enumerate_connected_kpartitions",
-    "eps_maxmin",
     "eps_minmax_bcpk",
     "exact_maxmin",
     "exact_minmax",
-    "generate",
-    "greedy_vertex_cover",
-    "initial_3partition",
-    "is_connected",
-    "merge",
-    "minmax_bcp3",
     "minmax_bcpk",
-    "non_cut_vertex",
-    "oracle_pull_admissible",
-    "order3",
-    "parse_instance",
-    "pull",
-    "pull_check",
-    "reconstruct",
-    "scale",
-    "separate",
     "solve_fpt_maxmin",
-    "split_off_singletons",
-    "split_two",
-    "star_center_certificate",
-    "validate",
-    "w_minus",
     "w_plus",
-    "write_instance",
 ]

@@ -28,7 +28,13 @@ from .graph import WeightedGraph
 from .instances import FAMILIES, generate, parse_instance, write_instance
 from .minmax import Certificate, minmax_bcpk
 from .oracle import DEFAULT_BUDGET, EnumerationBudget, exact_maxmin, exact_minmax
-from .partition import Partition, average_weight_bound, cut_vertex_bound, validate
+from .partition import (
+    Partition,
+    average_weight_bound,
+    cut_vertex_bound,
+    sort_classes,
+    validate,
+)
 from .scaling import eps_minmax_bcpk
 
 BUDGET_ENV = "BCP_BUDGET_SECONDS"
@@ -39,10 +45,9 @@ class SolveReport:
     value: int
     classes: Partition
     certificate: str
-    bound_kind: str | None
-    bound: Fraction | None
+    bound_kind: str
+    bound: Fraction
     iterations: int
-    cuts: int
     wall_ms: float
 
 
@@ -94,30 +99,14 @@ def _load_graph(path: str) -> WeightedGraph:
     return parse_instance(text)
 
 
-def _sorted_classes(g: WeightedGraph, classes: Sequence[frozenset[int]]) -> list[frozenset[int]]:
-    return sorted(classes, key=lambda c: (g.weight(c), min(c)))
-
-
 def _print_partition(g: WeightedGraph, classes: Sequence[frozenset[int]]) -> None:
     print("partition:")
-    for c in _sorted_classes(g, classes):
+    for c in sort_classes(g, classes):
         print(" ".join(str(v) for v in sorted(c)))
 
 
 def _fmt_ratio(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator} ({float(value):.6f})"
-
-
-def _report_common(g: WeightedGraph, report: SolveReport) -> None:
-    print(f"value: {report.value}")
-    print(f"certificate: {report.certificate}")
-    if report.bound is not None:
-        print(f"bound ({report.bound_kind}): {report.bound}")
-        if report.bound > 0:
-            print(f"ratio: {_fmt_ratio(Fraction(report.value) / report.bound)}")
-    _print_partition(g, report.classes)
-    print(f"iterations: {report.iterations}")
-    print(f"time-ms: {report.wall_ms:.1f}")
 
 
 def _solve_report(g: WeightedGraph, k: int, epsilon: Fraction | None) -> SolveReport:
@@ -146,7 +135,6 @@ def _solve_report(g: WeightedGraph, k: int, epsilon: Fraction | None) -> SolveRe
         bound_kind=bound_kind,
         bound=bound,
         iterations=result.iterations,
-        cuts=0,
         wall_ms=wall_ms,
     )
 
@@ -165,7 +153,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"k: {args.k}")
     if epsilon is not None:
         print(f"epsilon: {epsilon}")
-    _report_common(g, report)
+    print(f"value: {report.value}")
+    print(f"certificate: {report.certificate}")
+    print(f"bound ({report.bound_kind}): {report.bound}")
+    print(f"ratio: {_fmt_ratio(Fraction(report.value) / report.bound)}")
+    _print_partition(g, report.classes)
+    print(f"iterations: {report.iterations}")
+    print(f"time-ms: {report.wall_ms:.1f}")
     return 0
 
 
@@ -280,42 +274,31 @@ def _bench_one(entry: dict, index: int) -> BenchRecord:
 
     budget = _enum_budget()
     iterations = cuts = 0
-    bound_kind, bound = "", None
     start = time.perf_counter()
-    if algorithm == "minmax-bcpk":
-        result = minmax_bcpk(g, k)
-        value = max(g.weight(c) for c in result.classes)
-        iterations = result.iterations
-        bound_kind, bound = "average", average_weight_bound(g, k)
-        if result.certificate is Certificate.STAR_OPTIMAL and result.star is not None:
-            core = next(c for c in result.classes if result.star.u in c)
-            if g.weight(core) == value:
-                bound_kind = "cut-vertex"
-                bound = Fraction(cut_vertex_bound(g, k, result.star.u))
-    elif algorithm == "eps-minmax-bcpk":
-        eps = _parse_fraction(str(entry.get("epsilon", "1/2")))
-        result = eps_minmax_bcpk(g, k, eps)
-        value = max(g.weight(c) for c in result.classes)
-        iterations = result.iterations
-        bound_kind, bound = "average", average_weight_bound(g, k)
-    elif algorithm == "exact-minmax":
-        value, _ = exact_minmax(g, k, budget)
-        bound_kind, bound = "oracle", Fraction(value)
-    elif algorithm == "exact-maxmin":
-        value, _ = exact_maxmin(g, k, budget)
-        bound_kind, bound = "oracle", Fraction(value)
-    elif algorithm == "fpt-maxmin":
-        result = solve_fpt_maxmin(g, k, max_seconds=_budget_seconds())
-        value = result.value
-        cuts = result.cuts_added
-        iterations = result.nodes
-        bound_kind, bound = "oracle", Fraction(value)
+    if algorithm in ("minmax-bcpk", "eps-minmax-bcpk"):
+        epsilon = None
+        if algorithm == "eps-minmax-bcpk":
+            epsilon = _parse_fraction(str(entry.get("epsilon", "1/2")))
+        report = _solve_report(g, k, epsilon)
+        value, iterations = report.value, report.iterations
+        bound_kind, bound = report.bound_kind, report.bound
     else:
-        raise InputError(f"suite entry {index}: unknown algorithm {algorithm!r}")
+        if algorithm == "exact-minmax":
+            value, _ = exact_minmax(g, k, budget)
+        elif algorithm == "exact-maxmin":
+            value, _ = exact_maxmin(g, k, budget)
+        elif algorithm == "fpt-maxmin":
+            result = solve_fpt_maxmin(g, k, max_seconds=_budget_seconds())
+            value = result.value
+            cuts = result.cuts_added
+            iterations = result.nodes
+        else:
+            raise InputError(f"suite entry {index}: unknown algorithm {algorithm!r}")
+        bound_kind, bound = "oracle", Fraction(value)
     wall_ms = (time.perf_counter() - start) * 1000
 
     ratio = ""
-    if bound and bound > 0:
+    if bound > 0:
         ratio = f"{float(Fraction(value) / bound):.6f}"
     return BenchRecord(
         instance_id=instance_id,
@@ -325,7 +308,7 @@ def _bench_one(entry: dict, index: int) -> BenchRecord:
         algorithm=algorithm,
         value=value,
         bound_kind=bound_kind,
-        bound=str(bound) if bound is not None else "",
+        bound=str(bound),
         ratio=ratio,
         iterations=iterations,
         cuts=cuts,

@@ -15,15 +15,15 @@ exact distribution of the y counts solves the problem to optimality.
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 from .errors import BudgetExceeded, ContractViolation, InputError, InternalError
 from .graph import VertexSet, WeightedGraph, components, is_connected
 from .minmax import split_off_singletons
-from .partition import Partition
+from .partition import Partition, sort_classes
 
 
 def greedy_vertex_cover(g: WeightedGraph) -> VertexSet:
@@ -47,10 +47,6 @@ class VertexCoverDecomposition:
     def neighborhood_sets(self) -> list[VertexSet]:
         """Nonempty neighborhood classes in a fixed deterministic order."""
         return sorted(self.classes_by_neighborhood, key=lambda s: tuple(sorted(s)))
-
-    @property
-    def eta(self) -> int:
-        return 1 << len(self.cover)
 
 
 def decompose(g: WeightedGraph, cover: Iterable[int] | None = None) -> VertexCoverDecomposition:
@@ -120,17 +116,9 @@ class ModelCandidate:
     x_class: dict[int, int]
     y: dict[VertexSet, tuple[int, ...]]
 
-    def x(self, v: int, i: int) -> int:
-        return 1 if self.x_class.get(v) == i else 0
-
     def y_val(self, s: VertexSet, i: int) -> int:
         counts = self.y.get(s)
         return counts[i] if counts is not None else 0
-
-    def class_size(self, i: int) -> int:
-        return sum(1 for c in self.x_class.values() if c == i) + sum(
-            counts[i] for counts in self.y.values()
-        )
 
 
 @dataclass(frozen=True)
@@ -144,17 +132,23 @@ class CutConstraint:
     z: VertexSet
     hyperedges: frozenset[VertexSet]
 
-    def lhs(self, candidate: ModelCandidate) -> int:
+    def binds(self, x_class: Mapping[int, int]) -> bool:
+        """True iff the cover assignment puts u and v in the cut's class and
+        no vertex of Z there: the x terms then sum to 2, so the cut demands
+        at least one class-i stable vertex from the hyperedges in F.
+        Otherwise they sum to at most 1 and the cut holds whatever y is."""
         i = self.class_index
         return (
-            candidate.x(self.u, i)
-            + candidate.x(self.v, i)
-            - sum(candidate.x(z, i) for z in self.z)
-            - sum(candidate.y_val(s, i) for s in self.hyperedges)
+            x_class.get(self.u) == i
+            and x_class.get(self.v) == i
+            and not any(x_class.get(z) == i for z in self.z)
         )
 
     def satisfied_by(self, candidate: ModelCandidate) -> bool:
-        return self.lhs(candidate) <= 1
+        i = self.class_index
+        return not self.binds(candidate.x_class) or any(
+            candidate.y_val(s, i) >= 1 for s in self.hyperedges
+        )
 
     def render(self) -> str:
         zs = " - " + " - ".join(f"x[{z},{self.class_index}]" for z in sorted(self.z)) if self.z else ""
@@ -173,58 +167,6 @@ class FptModel:
     dec: VertexCoverDecomposition
     k: int
     cuts: list[CutConstraint] = field(default_factory=list)
-
-    def encode(self, partition: Sequence[Iterable[int]]) -> ModelCandidate:
-        """Model vector of a partition, classes ordered by (size, min id)."""
-        classes = sorted((frozenset(c) for c in partition), key=lambda c: (len(c), min(c)))
-        if len(classes) != self.k:
-            raise ContractViolation(f"expected {self.k} classes, got {len(classes)}")
-        xset = frozenset(self.dec.cover)
-        x_class = {}
-        for i, c in enumerate(classes):
-            for v in c & xset:
-                x_class[v] = i
-        y = {}
-        for s, members in self.dec.classes_by_neighborhood.items():
-            mset = set(members)
-            y[s] = tuple(len(mset & c) for c in classes)
-        return ModelCandidate(k=self.k, x_class=x_class, y=y)
-
-    def check_base(self, candidate: ModelCandidate) -> list[str]:
-        """Report violations of the non-cut base constraints."""
-        report = []
-        k = self.k
-        sizes = [candidate.class_size(i) for i in range(k)]
-        for i in range(k - 1):
-            if sizes[i] > sizes[i + 1]:
-                report.append(f"class sizes not non-decreasing at {i}: {sizes}")
-        for v in self.dec.cover:
-            c = candidate.x_class.get(v)
-            if c is None or not 0 <= c < k:
-                report.append(f"cover vertex {v} not assigned to a class")
-        for s, members in self.dec.classes_by_neighborhood.items():
-            counts = candidate.y.get(s)
-            if counts is None or len(counts) != k:
-                report.append(f"missing counts for neighborhood {sorted(s)}")
-                continue
-            if any(c < 0 for c in counts):
-                report.append(f"negative count for neighborhood {sorted(s)}")
-            if sum(counts) != len(members):
-                report.append(
-                    f"neighborhood {sorted(s)} distributes {sum(counts)} of {len(members)}"
-                )
-            for i in range(k):
-                if counts[i] > 0 and not any(candidate.x_class.get(v) == i for v in s):
-                    report.append(
-                        f"class {i} takes from neighborhood {sorted(s)} without a neighbor"
-                    )
-        return report
-
-    def violated_cuts(self, candidate: ModelCandidate) -> list[CutConstraint]:
-        return [c for c in self.cuts if not c.satisfied_by(candidate)]
-
-    def objective(self, candidate: ModelCandidate) -> int:
-        return candidate.class_size(0)
 
     def dump(self) -> str:
         dec = self.dec
@@ -382,9 +324,9 @@ def _max_flow(
     sent = 0
     while sent < need:
         parent = {src: src}
-        queue = [src]
+        queue = deque([src])
         while queue and snk not in parent:
-            a = queue.pop(0)
+            a = queue.popleft()
             for b in adj[a]:
                 if b not in parent and cap.get((a, b), 0) > 0:
                     parent[b] = a
@@ -403,12 +345,18 @@ def _max_flow(
     return [[cap.get((m + i, j), 0) for i in range(k)] for j in range(m)]
 
 
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceeded("max-min solve time budget exceeded")
+
+
 def _distribute(
     counts: list[int],
     elig: list[list[int]],
     bases: list[int],
     covers: list[tuple[int, list[int]]],
     cap_value: int,
+    deadline: float | None = None,
 ) -> tuple[int, list[list[int]]] | None:
     """Exact max-min completion of the stable-set counts for a fixed cover
     assignment.
@@ -417,7 +365,8 @@ def _distribute(
     cuts, each requiring at least one unit; every way of choosing a provider
     per cover is tried, and for each the best achievable minimum class size
     is found by binary search over a transport feasibility problem.  Returns
-    the best (value, allocation) or None when the covers are unsatisfiable.
+    the best (value, allocation) or None when the covers are unsatisfiable;
+    raises BudgetExceeded once time.monotonic() passes the deadline.
     """
     k = len(bases)
     m = len(counts)
@@ -431,6 +380,7 @@ def _distribute(
     seen: set[frozenset[tuple[int, int]]] = set()
     best: tuple[int, list[list[int]]] | None = None
     for combo in product(*option_lists) if option_lists else [()]:
+        _check_deadline(deadline)
         forced = frozenset(combo)
         if forced in seen:
             continue
@@ -511,8 +461,9 @@ def solve_fpt_maxmin(
         # the optimum is 1 and peeling singletons off the trivial partition
         # gives a witness.
         classes = split_off_singletons(g, (frozenset(range(g.n)),), k - 1)
-        ordered = tuple(sorted(classes, key=lambda c: (len(c), min(c))))
-        return FptResult(value=1, classes=ordered, model=model, nodes=0, cuts_added=0)
+        return FptResult(
+            value=1, classes=sort_classes(g, classes), model=model, nodes=0, cuts_added=0
+        )
 
     sets = dec.neighborhood_sets()
     counts = [len(dec.classes_by_neighborhood[s]) for s in sets]
@@ -542,11 +493,6 @@ def solve_fpt_maxmin(
             ub = min(ub, bin(cm).count("1") + remaining + attach)
         return ub
 
-    def candidate_from_alloc(alloc: list[list[int]]) -> ModelCandidate:
-        x_class = {xs[p]: assign[p] for p in range(len(xs))}
-        y = {s: tuple(alloc[j]) for j, s in enumerate(sets)}
-        return ModelCandidate(k=k, x_class=x_class, y=y)
-
     def leaf() -> None:
         nonlocal best_value, best_classes
         bases = [bin(cm).count("1") for cm in class_masks]
@@ -555,14 +501,13 @@ def solve_fpt_maxmin(
         ]
         x_of = {xs[p]: assign[p] for p in range(len(xs))}
         while True:
+            _check_deadline(deadline)
             covers = []
             feasible = True
             for cut in model.cuts:
+                if not cut.binds(x_of):
+                    continue
                 i = cut.class_index
-                if x_of.get(cut.u) != i or x_of.get(cut.v) != i:
-                    continue
-                if any(x_of.get(z) == i for z in cut.z):
-                    continue
                 groups = [
                     j
                     for j, s in enumerate(sets)
@@ -574,11 +519,13 @@ def solve_fpt_maxmin(
                 covers.append((i, groups))
             if not feasible:
                 return
-            res = _distribute(counts, elig, bases, covers, cap_value)
+            res = _distribute(counts, elig, bases, covers, cap_value, deadline)
             if res is None or res[0] <= best_value:
                 return
             value, alloc = res
-            candidate = candidate_from_alloc(alloc)
+            candidate = ModelCandidate(
+                k=k, x_class=x_of, y={s: tuple(alloc[j]) for j, s in enumerate(sets)}
+            )
             cuts = separate(g, dec, k, candidate)
             if not cuts:
                 best_value = value
@@ -594,8 +541,8 @@ def solve_fpt_maxmin(
     def dfs(pos: int, used: int) -> None:
         nonlocal nodes
         nodes += 1
-        if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
-            raise BudgetExceeded("max-min solve time budget exceeded")
+        if nodes % 256 == 0:
+            _check_deadline(deadline)
         if best_value >= cap_value:
             return
         if pos == len(xs):

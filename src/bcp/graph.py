@@ -63,9 +63,6 @@ class WeightedGraph:
     def m(self) -> int:
         return sum(len(ns) for ns in self.adjacency) // 2
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
 
@@ -75,12 +72,6 @@ class WeightedGraph:
     def with_weights(self, weights: Sequence[int]) -> "WeightedGraph":
         """Same topology, new weights (validated)."""
         return WeightedGraph.from_edges(self.n, self.edges(), list(weights))
-
-
-def _dfs_order(g: WeightedGraph, s: VertexSet, root: int) -> list[int]:
-    """Iterative DFS preorder inside the induced subgraph G[s], ascending
-    neighbor ids explored first."""
-    return _dfs_tree(g, s, root)[0]
 
 
 def components(g: WeightedGraph, s: VertexSet) -> list[VertexSet]:
@@ -94,7 +85,7 @@ def components(g: WeightedGraph, s: VertexSet) -> list[VertexSet]:
     out: list[VertexSet] = []
     for v in sorted(s):
         if v in remaining:
-            comp = frozenset(_dfs_order(g, frozenset(remaining), v))
+            comp = frozenset(_dfs_tree(g, frozenset(remaining), v)[0])
             out.append(comp)
             remaining -= comp
     return out
@@ -105,11 +96,12 @@ def is_connected(g: WeightedGraph, s: VertexSet) -> bool:
     if not s:
         return False
     root = min(s)
-    return len(_dfs_order(g, s, root)) == len(s)
+    return len(_dfs_tree(g, s, root)[0]) == len(s)
 
 
 def _dfs_tree(g: WeightedGraph, s: VertexSet, root: int) -> tuple[list[int], dict[int, int]]:
-    """DFS preorder plus parent map of a spanning tree of G[s] rooted at root."""
+    """Iterative DFS preorder inside the induced subgraph G[s], ascending
+    neighbor ids explored first, plus the parent map of its spanning tree."""
     parent: dict[int, int] = {root: root}
     order = [root]
     stack: list[Iterator[int]] = [iter(g.adjacency[root])]

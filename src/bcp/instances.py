@@ -39,7 +39,7 @@ def parse_instance(text: str) -> WeightedGraph:
     on malformed input."""
     n = m = None
     weights: dict[int, Fraction] = {}
-    edges: list[tuple[int, int]] = []
+    edges: dict[tuple[int, int], None] = {}  # insertion-ordered set
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -85,7 +85,7 @@ def parse_instance(text: str) -> WeightedGraph:
             key = (min(u, v), max(u, v))
             if key in edges:
                 raise ParseError(f"duplicate edge ({key[0]},{key[1]})", line_no)
-            edges.append(key)
+            edges[key] = None
         else:
             raise ParseError(f"unknown line kind {kind!r}", line_no)
     if n is None:

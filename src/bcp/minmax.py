@@ -31,7 +31,6 @@ from .graph import (
 from .partition import (
     Partition,
     StarCenterCertificate,
-    is_ordered3,
     order3,
     sort_classes,
     w_plus,
@@ -63,7 +62,7 @@ class BcpkResult:
 
 
 def _require_ordered3(g: WeightedGraph, p: Partition) -> None:
-    if not is_ordered3(g, p):
+    if len(p) != 3 or tuple(p) != sort_classes(g, p):
         raise ContractViolation("expected a weight-ordered connected 3-partition")
 
 
@@ -109,8 +108,7 @@ def pull_check(g: WeightedGraph, p: Partition, i: int) -> VertexSet | None:
         rest = v3 - {v}
         if not rest:
             continue
-        comps = sorted(components(g, rest), key=lambda c: (g.weight(c), min(c)))
-        light = comps[:-1]
+        light = sort_classes(g, components(g, rest))[:-1]
         if wi + g.weights[v] + sum(g.weight(c) for c in light) < w3:
             u: set[int] = {v}
             for c in light:
@@ -234,10 +232,7 @@ def star_center_certificate(g: WeightedGraph, p: Partition) -> StarCenterCertifi
             f"expected a single shared contact vertex, got {hits1} and {hits2}"
         )
     u = hits1[0]
-    comps = sorted(
-        components(g, frozenset(range(g.n)) - {u}),
-        key=lambda c: (g.weight(c), min(c)),
-    )
+    comps = sort_classes(g, components(g, frozenset(range(g.n)) - {u}))
     if v1 not in comps or v2 not in comps:
         raise ContractViolation("V1 and V2 must be components of G-u")
     for c in comps:
@@ -245,7 +240,7 @@ def star_center_certificate(g: WeightedGraph, p: Partition) -> StarCenterCertifi
             raise ContractViolation("a stray component outweighs V1")
     if len(comps) == 3 and 4 * g.weights[u] <= total:
         raise ContractViolation("with 3 components the center must weigh > w(G)/4")
-    return StarCenterCertificate(u=u, comps=tuple(comps))
+    return StarCenterCertificate(u=u, comps=comps)
 
 
 def split_off_singletons(g: WeightedGraph, p: Partition, q: int) -> Partition:
@@ -274,29 +269,23 @@ def minmax_bcpk(g: WeightedGraph, k: int) -> BcpkResult:
 
     if 2 * w_plus(g, p3) <= total or len(p3[2]) == 1:
         classes = split_off_singletons(g, p3, k - 3)
-        cert = (
-            Certificate.RATIO_HALF_W
-            if 2 * w_plus(g, p3) <= total
-            else Certificate.SINGLETON_TOP
-        )
-        return BcpkResult(sort_classes(g, classes), cert, None, iterations)
-
-    star = star_center_certificate(g, p3)
-    ell = star.ell
-    if ell >= k - 1:
-        t = ell - k + 1
-        core: set[int] = {star.u}
-        for c in star.comps[:t]:
-            core |= c
-        classes = (frozenset(core),) + star.comps[t:]
-        return BcpkResult(
-            sort_classes(g, classes), Certificate.STAR_OPTIMAL, star, iterations
-        )
-    fan = (frozenset({star.u}),) + star.comps
-    classes = split_off_singletons(g, fan, k - 1 - ell)
-    # Every piece except {u} weighs at most w(V2) <= w(G)/2.  A heavier
-    # result therefore tops out at the singleton {u}, whose weight no
-    # partition can avoid paying.
+    else:
+        star = star_center_certificate(g, p3)
+        ell = star.ell
+        if ell >= k - 1:
+            t = ell - k + 1
+            core: set[int] = {star.u}
+            for c in star.comps[:t]:
+                core |= c
+            classes = (frozenset(core),) + star.comps[t:]
+            return BcpkResult(
+                sort_classes(g, classes), Certificate.STAR_OPTIMAL, star, iterations
+            )
+        fan = (frozenset({star.u}),) + star.comps
+        classes = split_off_singletons(g, fan, k - 1 - ell)
+    # Splitting never makes the heaviest class heavier.  In the fan every
+    # piece except {u} weighs at most w(V2) <= w(G)/2, so a heavier result
+    # tops out at a singleton, whose weight no partition can avoid paying.
     cert = (
         Certificate.RATIO_HALF_W
         if 2 * w_plus(g, classes) <= total

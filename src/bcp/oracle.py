@@ -3,18 +3,17 @@
 Enumerates every connected k-partition exactly once (classes unordered) via
 restricted-growth assignment over vertices in id order, pruning branches as
 soon as a class can no longer become connected.  On top of the stream sit the
-exact min-max / max-min optima and a brute-force pull-admissibility check.
+exact min-max / max-min optima.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExceeded, ContractViolation
-from .graph import VertexSet, WeightedGraph, is_connected
+from .graph import WeightedGraph
 from .partition import Partition
 
 
@@ -108,14 +107,12 @@ def enumerate_connected_kpartitions(
         for c in range(len(masks)):
             if nbrs[c] & unassigned == 0:
                 continue  # closed class: v could never reconnect to it
+            saved = nbrs[c]
             masks[c] |= bit
             nbrs[c] |= nbr[v]
             yield from recurse(v + 1)
             masks[c] &= ~bit
-            nbrs[c] = 0
-            for w in range(n):
-                if masks[c] >> w & 1:
-                    nbrs[c] |= nbr[w]
+            nbrs[c] = saved
         if len(masks) < k:
             masks.append(bit)
             nbrs.append(nbr[v])
@@ -130,15 +127,19 @@ def _signature(p: Partition) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(sorted(c)) for c in p))
 
 
-def exact_minmax(
-    g: WeightedGraph, k: int, budget: EnumerationBudget = DEFAULT_BUDGET
+def _optimum(
+    g: WeightedGraph,
+    k: int,
+    budget: EnumerationBudget,
+    objective: Callable[[Iterable[int]], int],
 ) -> tuple[int, Partition]:
-    """Minimum heaviest-class weight over all connected k-partitions, with a
-    witness (ties: lexicographically smallest class signature)."""
+    """Optimum over all connected k-partitions of the class-weight objective:
+    max (heaviest class) is minimized, min (lightest class) maximized."""
+    flip = 1 if objective is max else -1
     best: tuple[int, tuple, Partition] | None = None
     for p in enumerate_connected_kpartitions(g, k, budget):
-        value = max(g.weight(c) for c in p)
-        if best is None or value < best[0]:
+        value = objective(g.weight(c) for c in p)
+        if best is None or flip * value < flip * best[0]:
             best = (value, _signature(p), p)
         elif value == best[0]:
             sig = _signature(p)
@@ -148,46 +149,17 @@ def exact_minmax(
     return best[0], best[2]
 
 
+def exact_minmax(
+    g: WeightedGraph, k: int, budget: EnumerationBudget = DEFAULT_BUDGET
+) -> tuple[int, Partition]:
+    """Minimum heaviest-class weight over all connected k-partitions, with a
+    witness (ties: lexicographically smallest class signature)."""
+    return _optimum(g, k, budget, max)
+
+
 def exact_maxmin(
     g: WeightedGraph, k: int, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> tuple[int, Partition]:
     """Maximum lightest-class weight over all connected k-partitions, with a
     witness (ties: lexicographically smallest class signature)."""
-    best: tuple[int, tuple, Partition] | None = None
-    for p in enumerate_connected_kpartitions(g, k, budget):
-        value = min(g.weight(c) for c in p)
-        if best is None or value > best[0]:
-            best = (value, _signature(p), p)
-        elif value == best[0]:
-            sig = _signature(p)
-            if sig < best[1]:
-                best = (value, sig, p)
-    assert best is not None
-    return best[0], best[2]
-
-
-def oracle_pull_admissible(
-    g: WeightedGraph, p: Partition, i: int, max_subset_base: int = 20
-) -> VertexSet | None:
-    """Exhaustively search V3 for a pull-admissible subset w.r.t. class i.
-
-    Checks every nonempty proper subset U of V3 for: both G[Vi+U] and
-    G[V3-U] connected and w(Vi+U) < w(V3).  Test-support only; the fast
-    path is bcp.minmax.pull_check.
-    """
-    if i not in (1, 2):
-        raise ContractViolation("class index must be 1 or 2")
-    v3 = p[2]
-    vi = p[i - 1]
-    if len(v3) > max_subset_base:
-        raise BudgetExceeded(f"|V3|={len(v3)} exceeds subset budget {max_subset_base}")
-    w3 = g.weight(v3)
-    members = sorted(v3)
-    for r in range(1, len(members)):
-        for combo in combinations(members, r):
-            u = frozenset(combo)
-            if g.weight(vi) + g.weight(u) >= w3:
-                continue
-            if is_connected(g, vi | u) and is_connected(g, v3 - u):
-                return u
-    return None
+    return _optimum(g, k, budget, min)

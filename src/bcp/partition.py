@@ -17,18 +17,14 @@ from .graph import VertexSet, WeightedGraph, components, is_connected
 Partition = tuple[VertexSet, ...]
 
 
-def class_weights(g: WeightedGraph, p: Partition) -> tuple[int, ...]:
-    return tuple(g.weight(c) for c in p)
-
-
 def w_plus(g: WeightedGraph, p: Partition) -> int:
     """Weight of the heaviest class."""
-    return max(class_weights(g, p))
+    return max(g.weight(c) for c in p)
 
 
 def w_minus(g: WeightedGraph, p: Partition) -> int:
     """Weight of the lightest class."""
-    return min(class_weights(g, p))
+    return min(g.weight(c) for c in p)
 
 
 def validate(g: WeightedGraph, p: Sequence[Iterable[int]], k: int) -> list[str]:
@@ -76,10 +72,6 @@ def order3(g: WeightedGraph, p: Sequence[Iterable[int]]) -> Partition:
     if report:
         raise ContractViolation("order3() needs a valid 3-partition: " + "; ".join(report))
     return sort_classes(g, (frozenset(c) for c in p))
-
-
-def is_ordered3(g: WeightedGraph, p: Partition) -> bool:
-    return len(p) == 3 and tuple(p) == sort_classes(g, p)
 
 
 def average_weight_bound(g: WeightedGraph, k: int) -> Fraction:

@@ -2,37 +2,24 @@
 polynomial in the graph order.
 
 Scaled weights are w_hat(v) = ceil(w(v)/lambda) with lambda = eps*theta/|V|
-and theta the maximum weight (min-max direction), or floor with theta the
-minimum weight (max-min direction).  lambda is kept as an exact fraction and
-the rounding is exact integer arithmetic, so runs are reproducible bit for
-bit.
+and theta the maximum weight.  lambda is kept as an exact fraction and the
+rounding is exact integer arithmetic, so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from typing import Callable, TypeVar
 
 from .errors import ContractViolation, InputError
 from .graph import WeightedGraph
 from .minmax import BcpkResult, minmax_bcpk
-from .partition import Partition
-
-T = TypeVar("T")
-
-
-class Direction(Enum):
-    MINMAX = "minmax"
-    MAXMIN = "maxmin"
 
 
 @dataclass(frozen=True)
 class ScaledInstance:
     base: WeightedGraph
-    direction: Direction
     theta: int
     lam: Fraction
     scaled_weights: tuple[int, ...]
@@ -42,43 +29,15 @@ class ScaledInstance:
         return self.base.with_weights(self.scaled_weights)
 
 
-def scale(g: WeightedGraph, eps: Fraction, direction: Direction) -> ScaledInstance:
-    """Build the scaled instance for the given direction.
-
-    Rejects eps <= 0, and max-min scalings with eps >= |V| since those could
-    floor a weight down to zero.
-    """
+def scale(g: WeightedGraph, eps: Fraction) -> ScaledInstance:
+    """Build the min-max scaled instance; rejects eps <= 0."""
     eps = Fraction(eps)
     if eps <= 0:
         raise InputError(f"epsilon must be positive, got {eps}")
-    if direction is Direction.MINMAX:
-        theta = max(g.weights)
-    else:
-        if eps >= g.n:
-            raise InputError(
-                f"max-min scaling needs epsilon < |V| = {g.n} to keep weights positive"
-            )
-        theta = min(g.weights)
+    theta = max(g.weights)
     lam = eps * theta / g.n
-    if direction is Direction.MINMAX:
-        scaled = tuple(math.ceil(Fraction(w) / lam) for w in g.weights)
-    else:
-        scaled = tuple(math.floor(Fraction(w) / lam) for w in g.weights)
-    if min(scaled) < 1:
-        raise InputError("scaling produced a nonpositive weight")
-    return ScaledInstance(g, direction, theta, lam, scaled)
-
-
-def scaled_solve(
-    g: WeightedGraph,
-    eps: Fraction,
-    direction: Direction,
-    solver: Callable[[WeightedGraph], T],
-) -> tuple[T, ScaledInstance]:
-    """Run any solver on the scaled weights; the caller evaluates the result
-    under the original weights."""
-    inst = scale(g, eps, direction)
-    return solver(inst.graph()), inst
+    scaled = tuple(math.ceil(Fraction(w) / lam) for w in g.weights)
+    return ScaledInstance(g, theta, lam, scaled)
 
 
 def eps_minmax_bcpk(g: WeightedGraph, k: int, eps_prime: Fraction) -> BcpkResult:
@@ -93,24 +52,4 @@ def eps_minmax_bcpk(g: WeightedGraph, k: int, eps_prime: Fraction) -> BcpkResult
     eps_prime = Fraction(eps_prime)
     if eps_prime <= 0:
         raise InputError(f"epsilon must be positive, got {eps_prime}")
-    eps = eps_prime / Fraction(k, 2)
-    result, _ = scaled_solve(g, eps, Direction.MINMAX, lambda sg: minmax_bcpk(sg, k))
-    return result
-
-
-def eps_maxmin(
-    g: WeightedGraph,
-    k: int,
-    eps: Fraction,
-    solver: Callable[[WeightedGraph, int], Partition],
-) -> Partition:
-    """Max-min counterpart of the scaling wrapper.
-
-    No pseudo-polynomial max-min approximation ships with this package, so
-    the routine to run on the scaled instance is the caller's choice (the
-    exact oracle works at desk scale).
-    """
-    if not 1 <= k <= g.n:
-        raise ContractViolation(f"k must be in [1, {g.n}], got {k}")
-    inst = scale(g, eps, Direction.MAXMIN)
-    return solver(inst.graph(), k)
+    return minmax_bcpk(scale(g, eps_prime / Fraction(k, 2)).graph(), k)

@@ -1,0 +1,98 @@
+"""Brute-force references the tests compare the solvers against.
+
+Slow on purpose: each checks a definition directly instead of the fast
+path the package takes.
+"""
+
+from itertools import combinations
+from typing import Iterable, Sequence
+
+from bcp.errors import BudgetExceeded, ContractViolation
+from bcp.fpt import CutConstraint, FptModel, ModelCandidate
+from bcp.graph import VertexSet, WeightedGraph, is_connected
+from bcp.partition import Partition
+
+
+def oracle_pull_admissible(
+    g: WeightedGraph, p: Partition, i: int, max_subset_base: int = 20
+) -> VertexSet | None:
+    """Exhaustively search V3 for a pull-admissible subset w.r.t. class i.
+
+    Checks every nonempty proper subset U of V3 for: both G[Vi+U] and
+    G[V3-U] connected and w(Vi+U) < w(V3).  The fast path is
+    bcp.minmax.pull_check.
+    """
+    if i not in (1, 2):
+        raise ContractViolation("class index must be 1 or 2")
+    v3 = p[2]
+    vi = p[i - 1]
+    if len(v3) > max_subset_base:
+        raise BudgetExceeded(f"|V3|={len(v3)} exceeds subset budget {max_subset_base}")
+    w3 = g.weight(v3)
+    members = sorted(v3)
+    for r in range(1, len(members)):
+        for combo in combinations(members, r):
+            u = frozenset(combo)
+            if g.weight(vi) + g.weight(u) >= w3:
+                continue
+            if is_connected(g, vi | u) and is_connected(g, v3 - u):
+                return u
+    return None
+
+
+def class_size(candidate: ModelCandidate, i: int) -> int:
+    return sum(1 for c in candidate.x_class.values() if c == i) + sum(
+        counts[i] for counts in candidate.y.values()
+    )
+
+
+def encode(model: FptModel, partition: Sequence[Iterable[int]]) -> ModelCandidate:
+    """Model vector of a partition, classes ordered by (size, min id)."""
+    classes = sorted((frozenset(c) for c in partition), key=lambda c: (len(c), min(c)))
+    if len(classes) != model.k:
+        raise ContractViolation(f"expected {model.k} classes, got {len(classes)}")
+    xset = frozenset(model.dec.cover)
+    x_class = {}
+    for i, c in enumerate(classes):
+        for v in c & xset:
+            x_class[v] = i
+    y = {}
+    for s, members in model.dec.classes_by_neighborhood.items():
+        mset = set(members)
+        y[s] = tuple(len(mset & c) for c in classes)
+    return ModelCandidate(k=model.k, x_class=x_class, y=y)
+
+
+def check_base(model: FptModel, candidate: ModelCandidate) -> list[str]:
+    """Report violations of the non-cut base constraints."""
+    report = []
+    k = model.k
+    sizes = [class_size(candidate, i) for i in range(k)]
+    for i in range(k - 1):
+        if sizes[i] > sizes[i + 1]:
+            report.append(f"class sizes not non-decreasing at {i}: {sizes}")
+    for v in model.dec.cover:
+        c = candidate.x_class.get(v)
+        if c is None or not 0 <= c < k:
+            report.append(f"cover vertex {v} not assigned to a class")
+    for s, members in model.dec.classes_by_neighborhood.items():
+        counts = candidate.y.get(s)
+        if counts is None or len(counts) != k:
+            report.append(f"missing counts for neighborhood {sorted(s)}")
+            continue
+        if any(c < 0 for c in counts):
+            report.append(f"negative count for neighborhood {sorted(s)}")
+        if sum(counts) != len(members):
+            report.append(
+                f"neighborhood {sorted(s)} distributes {sum(counts)} of {len(members)}"
+            )
+        for i in range(k):
+            if counts[i] > 0 and not any(candidate.x_class.get(v) == i for v in s):
+                report.append(
+                    f"class {i} takes from neighborhood {sorted(s)} without a neighbor"
+                )
+    return report
+
+
+def violated_cuts(model: FptModel, candidate: ModelCandidate) -> list[CutConstraint]:
+    return [c for c in model.cuts if not c.satisfied_by(candidate)]

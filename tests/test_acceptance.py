@@ -22,19 +22,14 @@ from bcp.minmax import (
     pull_check,
     star_center_certificate,
 )
-from bcp.oracle import (
-    enumerate_connected_kpartitions,
-    exact_maxmin,
-    exact_minmax,
-    oracle_pull_admissible,
-)
+from bcp.oracle import enumerate_connected_kpartitions, exact_maxmin, exact_minmax
 from bcp.partition import (
     cut_vertex_bound,
     order3,
     validate,
     w_plus,
 )
-from bcp.scaling import Direction, eps_minmax_bcpk, scale
+from bcp.scaling import eps_minmax_bcpk, scale
 
 from .atlas import weighted_atlas
 from .conftest import (
@@ -44,6 +39,7 @@ from .conftest import (
     random_connected_graph,
     star_graph,
 )
+from .reference import encode, oracle_pull_admissible, violated_cuts
 
 KS = (3, 4, 5)
 
@@ -177,7 +173,7 @@ def test_criterion_05_scaling_ratio(suite1):
         opt, _ = exact_minmax(g, r.k)
         for eps_p in (Fraction(1, 10), Fraction(1, 2)):
             eps = eps_p / Fraction(r.k, 2)
-            inst = scale(g, eps, Direction.MINMAX)
+            inst = scale(g, eps)
             assert sum(inst.scaled_weights) <= Fraction(g.n * g.n, eps) + g.n
             result = eps_minmax_bcpk(g, r.k, eps_p)
             assert validate(g, result.classes, r.k) == []
@@ -256,8 +252,8 @@ def test_criterion_07_cut_validity(suite6):
             continue
         model = r.result.model
         for p in enumerate_connected_kpartitions(r.graph, r.k):
-            candidate = model.encode(p)
-            bad = model.violated_cuts(candidate)
+            candidate = encode(model, p)
+            bad = violated_cuts(model, candidate)
             assert bad == [], (r.graph.edges(), r.k, bad[0].render() if bad else "")
         cuts_checked += len(model.cuts)
     assert cuts_checked > 0

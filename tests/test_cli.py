@@ -4,7 +4,7 @@ import json
 import pytest
 
 from bcp.cli import run_cli
-from bcp.instances import write_instance
+from bcp.instances import generate, write_instance
 
 from .conftest import path_graph, star_graph
 
@@ -190,6 +190,35 @@ class TestBench:
         assert star["algorithm"] == "minmax-bcpk"
         assert star["bound_kind"] == "cut-vertex"
         assert star["ratio"] == "1.000000"
+
+    def test_solver_rows_match_solve(self, tmp_path, capsys):
+        suite = self.suite(tmp_path)
+        out = tmp_path / "s.csv"
+        assert run_cli(["bench", "--suite", suite, "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        entries = json.loads((tmp_path / "suite.json").read_text())["entries"]
+        checked = 0
+        for entry, row in zip(entries, rows):
+            if entry["algorithm"] not in ("minmax-bcpk", "eps-minmax-bcpk"):
+                continue
+            lo, hi = entry.get("weights", [1, 1])
+            g = generate(entry["family"], entry["n"], (lo, hi), entry.get("seed", 0))
+            inst = tmp_path / f"{row['instance_id']}.bcp"
+            inst.write_text(write_instance(g))
+            argv = ["solve", str(inst), "--k", str(entry["k"])]
+            if "epsilon" in entry:
+                argv += ["--epsilon", entry["epsilon"]]
+            capsys.readouterr()
+            assert run_cli(argv) == 0
+            printed = dict(line.split(": ", 1) for line in lines_of(capsys) if ": " in line)
+            bound_key = next(key for key in printed if key.startswith("bound ("))
+            assert row["value"] == printed["value"]
+            assert row["bound_kind"] == bound_key[len("bound ("):-1]
+            assert row["bound"] == printed[bound_key]
+            assert row["ratio"] == printed["ratio"].split("(")[1].rstrip(")")
+            assert row["iterations"] == printed["iterations"]
+            checked += 1
+        assert checked == 2
 
     def test_bad_suite(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,9 +1,10 @@
 import random
+import time
 from itertools import product
 
 import pytest
 
-from bcp.errors import ContractViolation, InputError
+from bcp.errors import BudgetExceeded, ContractViolation, InputError
 from bcp.fpt import (
     FptModel,
     ModelCandidate,
@@ -19,6 +20,7 @@ from bcp.oracle import enumerate_connected_kpartitions, exact_maxmin
 from bcp.partition import validate
 
 from .conftest import cycle_graph, grid_graph, path_graph, star_graph
+from .reference import check_base, class_size, encode, violated_cuts
 
 
 def fs(*vs):
@@ -44,7 +46,6 @@ class TestDecompose:
     def test_star(self):
         dec = decompose(star_graph(4), [0])
         assert dec.classes_by_neighborhood == {fs(0): (1, 2, 3)}
-        assert dec.eta == 2
 
     def test_bad_cover_rejected(self):
         with pytest.raises(InputError):
@@ -166,16 +167,16 @@ class TestEncode:
         model = FptModel(dec=decompose(g, [0, 2, 4]), k=3)
         for p in enumerate_connected_kpartitions(g, 3):
             if all(c & fs(0, 2, 4) for c in p):
-                candidate = model.encode(p)
-                assert model.check_base(candidate) == []
-                assert model.objective(candidate) == min(len(c) for c in p)
+                candidate = encode(model, p)
+                assert check_base(model, candidate) == []
+                assert class_size(candidate, 0) == min(len(c) for c in p)
 
     def test_violations_reported(self):
         g = path_graph(4)
         model = FptModel(dec=decompose(g, [1, 2]), k=2)
-        candidate = model.encode([fs(0, 1), fs(2, 3)])
+        candidate = encode(model, [fs(0, 1), fs(2, 3)])
         candidate.y[fs(1)] = (0, 1)  # stable vertex 0 sent to the wrong side
-        assert model.check_base(candidate)
+        assert check_base(model, candidate)
 
 
 class TestSolve:
@@ -214,6 +215,16 @@ class TestSolve:
     def test_uniform_non_unit_weights_ok(self):
         g = path_graph(4, [3, 3, 3, 3])
         assert solve_fpt_maxmin(g, 2, [1, 2]).value == 2
+
+    def test_budget_honoured_inside_distribution(self):
+        # Ladder 2x10 at k=4 spends its time inside _distribute, between two
+        # of the search's every-256-nodes deadline checks.
+        g = grid_graph(2, 10)
+        cover = [r * 10 + c for r in range(2) for c in range(10) if (r + c) % 2 == 1]
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded):
+            solve_fpt_maxmin(g, 4, cover, max_seconds=0.5)
+        assert time.monotonic() - start < 2.0
 
     def test_k_out_of_range(self):
         with pytest.raises(InputError):
@@ -310,9 +321,9 @@ def test_distribution_is_optimal_against_exhaustive_search():
         best = -1
         for y in _all_distributions(model, x_class, k):
             candidate = ModelCandidate(k=k, x_class=dict(x_class), y=y)
-            if model.check_base(candidate):
+            if check_base(model, candidate):
                 continue
-            best = max(best, min(candidate.class_size(i) for i in range(k)))
+            best = max(best, min(class_size(candidate, i) for i in range(k)))
         from bcp.fpt import _distribute
 
         sets = dec.neighborhood_sets()
@@ -335,8 +346,8 @@ def test_all_oracle_encodings_satisfy_fired_cuts():
     assert result.model.cuts
     model = result.model
     for p in enumerate_connected_kpartitions(g, 2):
-        candidate = model.encode(p)
-        assert model.violated_cuts(candidate) == []
+        candidate = encode(model, p)
+        assert violated_cuts(model, candidate) == []
 
 
 def test_model_dump_mentions_cuts():

@@ -1,7 +1,7 @@
 import pytest
 
 from bcp.errors import ParseError
-from bcp.instances import generate, parse_instance, write_instance
+from bcp.instances import FAMILIES, generate, parse_instance, write_instance
 
 from .conftest import star_graph
 
@@ -82,6 +82,11 @@ class TestRoundTrip:
         messy = "c x\np bcp 3 2\nv 2 5\nv 0 1\nv 1 2\ne 1 2\ne 0 1\n"
         canon = write_instance(parse_instance(messy))
         assert canon == write_instance(parse_instance(canon))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_generated_families_at_scale(self, family):
+        g = generate(family, 2000, (1, 50), seed=5)
+        assert parse_instance(write_instance(g)) == g
 
 
 class TestGenerate:

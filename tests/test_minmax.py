@@ -18,11 +18,7 @@ from bcp.minmax import (
     split_off_singletons,
     star_center_certificate,
 )
-from bcp.oracle import (
-    enumerate_connected_kpartitions,
-    exact_minmax,
-    oracle_pull_admissible,
-)
+from bcp.oracle import enumerate_connected_kpartitions, exact_minmax
 from bcp.partition import order3, validate, w_plus
 
 from .conftest import (
@@ -32,6 +28,7 @@ from .conftest import (
     star_graph,
     triangle_graph,
 )
+from .reference import oracle_pull_admissible
 
 
 def fs(*vs):

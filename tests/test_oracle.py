@@ -10,11 +10,11 @@ from bcp.oracle import (
     enumerate_connected_kpartitions,
     exact_maxmin,
     exact_minmax,
-    oracle_pull_admissible,
 )
 from bcp.partition import order3, validate, w_minus
 
 from .conftest import connected_graphs, cycle_graph, path_graph, star_graph, triangle_graph
+from .reference import oracle_pull_admissible
 
 
 def fs(*vs):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from bcp.errors import InputError
 from bcp.graph import WeightedGraph
 from bcp.minmax import minmax_bcpk
-from bcp.oracle import exact_maxmin, exact_minmax
-from bcp.partition import validate, w_minus, w_plus
-from bcp.scaling import Direction, eps_maxmin, eps_minmax_bcpk, scale
+from bcp.oracle import exact_minmax
+from bcp.partition import validate, w_plus
+from bcp.scaling import eps_minmax_bcpk, scale
 
 from .conftest import connected_graphs, path_graph, star_graph
 
@@ -20,36 +20,25 @@ def four_vertex_graph(weights):
 class TestScale:
     def test_minmax_example(self):
         g = four_vertex_graph([100, 40, 25, 13])
-        inst = scale(g, Fraction(1, 2), Direction.MINMAX)
+        inst = scale(g, Fraction(1, 2))
         assert inst.theta == 100
         assert inst.lam == Fraction(25, 2)
         assert inst.scaled_weights == (8, 4, 2, 2)
 
-    def test_maxmin_example(self):
-        g = four_vertex_graph([100, 40, 25, 13])
-        inst = scale(g, Fraction(1, 2), Direction.MAXMIN)
-        assert inst.theta == 13
-        assert inst.lam == Fraction(13, 8)
-        assert inst.scaled_weights == (61, 24, 15, 8)
-
     def test_unit_weights_scale_uniformly(self):
         g = path_graph(5)
-        inst = scale(g, Fraction(1, 3), Direction.MINMAX)
+        inst = scale(g, Fraction(1, 3))
         assert inst.scaled_weights == (15,) * 5  # ceil(n/eps)
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(InputError):
-            scale(path_graph(3), Fraction(0), Direction.MINMAX)
+            scale(path_graph(3), Fraction(0))
         with pytest.raises(InputError):
-            scale(path_graph(3), Fraction(-1, 2), Direction.MAXMIN)
-
-    def test_maxmin_guards_against_zero_weights(self):
-        with pytest.raises(InputError):
-            scale(path_graph(4), Fraction(5), Direction.MAXMIN)
+            scale(path_graph(3), Fraction(-1, 2))
 
     def test_scaled_graph_keeps_topology(self):
         g = four_vertex_graph([100, 40, 25, 13])
-        scaled = scale(g, Fraction(1, 2), Direction.MINMAX).graph()
+        scaled = scale(g, Fraction(1, 2)).graph()
         assert scaled.edges() == g.edges()
         assert scaled.weights == (8, 4, 2, 2)
 
@@ -58,18 +47,11 @@ class TestScale:
 @settings(max_examples=60)
 def test_sandwich_and_size_bound(g):
     for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(2)):
-        inst = scale(g, eps, Direction.MINMAX)
+        inst = scale(g, eps)
         for w, w_hat in zip(g.weights, inst.scaled_weights):
             assert Fraction(w) / inst.lam <= w_hat <= Fraction(w) / inst.lam + 1
             assert w_hat >= 1
         assert sum(inst.scaled_weights) <= Fraction(g.n * g.n, eps) + g.n
-
-
-@given(connected_graphs(min_n=2, max_n=8, max_weight=10**6))
-@settings(max_examples=40)
-def test_maxmin_scaling_keeps_weights_positive(g):
-    inst = scale(g, Fraction(1, 2), Direction.MAXMIN)
-    assert min(inst.scaled_weights) >= 1
 
 
 class TestEpsMinmax:
@@ -128,14 +110,3 @@ def test_eps_ratio_against_oracle(g):
         bound = (Fraction(k, 2) + eps_p) * opt
         assert Fraction(w_plus(g, result.classes)) <= bound
 
-
-def test_maxmin_pipeline_with_oracle_plugin():
-    g = four_vertex_graph([100, 40, 25, 13])
-    witness = eps_maxmin(
-        g, 2, Fraction(1, 2), lambda sg, k: exact_maxmin(sg, k)[1]
-    )
-    assert validate(g, witness, 2) == []
-    # The plugged-in oracle is exact, so the scaled witness evaluated under
-    # the original weights stays within (1 + eps) of the true optimum.
-    opt, _ = exact_maxmin(g, 2)
-    assert Fraction(w_minus(g, witness)) * (1 + Fraction(1, 2)) >= opt
