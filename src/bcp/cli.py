@@ -27,7 +27,7 @@ from .fpt import solve_fpt_maxmin
 from .graph import WeightedGraph
 from .instances import FAMILIES, generate, parse_instance, write_instance
 from .minmax import Certificate, minmax_bcpk
-from .oracle import DEFAULT_BUDGET, EnumerationBudget, exact_maxmin, exact_minmax
+from .oracle import exact_maxmin, exact_minmax
 from .partition import (
     Partition,
     average_weight_bound,
@@ -75,13 +75,6 @@ def _budget_seconds() -> float | None:
         return float(raw)
     except ValueError:
         raise InputError(f"{BUDGET_ENV} must be a number, got {raw!r}") from None
-
-
-def _enum_budget() -> EnumerationBudget:
-    seconds = _budget_seconds()
-    if seconds is None:
-        return DEFAULT_BUDGET
-    return EnumerationBudget(max_seconds=seconds)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -165,12 +158,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     g = _load_graph(args.instance)
-    budget = _enum_budget()
+    max_seconds = _budget_seconds()
     start = time.perf_counter()
     if args.objective == "minmax":
-        value, witness = exact_minmax(g, args.k, budget)
+        value, witness = exact_minmax(g, args.k, max_seconds)
     else:
-        value, witness = exact_maxmin(g, args.k, budget)
+        value, witness = exact_maxmin(g, args.k, max_seconds)
     wall_ms = (time.perf_counter() - start) * 1000
     print(f"instance: {args.instance} (n={g.n}, m={g.m}, W={g.total_weight})")
     print(f"objective: {args.objective}")
@@ -272,7 +265,7 @@ def _bench_one(entry: dict, index: int) -> BenchRecord:
     except ValueError as exc:
         raise InputError(f"suite entry {index}: {exc}") from exc
 
-    budget = _enum_budget()
+    max_seconds = _budget_seconds()
     iterations = cuts = 0
     start = time.perf_counter()
     if algorithm in ("minmax-bcpk", "eps-minmax-bcpk"):
@@ -284,11 +277,11 @@ def _bench_one(entry: dict, index: int) -> BenchRecord:
         bound_kind, bound = report.bound_kind, report.bound
     else:
         if algorithm == "exact-minmax":
-            value, _ = exact_minmax(g, k, budget)
+            value, _ = exact_minmax(g, k, max_seconds)
         elif algorithm == "exact-maxmin":
-            value, _ = exact_maxmin(g, k, budget)
+            value, _ = exact_maxmin(g, k, max_seconds)
         elif algorithm == "fpt-maxmin":
-            result = solve_fpt_maxmin(g, k, max_seconds=_budget_seconds())
+            result = solve_fpt_maxmin(g, k, max_seconds=max_seconds)
             value = result.value
             cuts = result.cuts_added
             iterations = result.nodes

@@ -85,12 +85,6 @@ class CutHypergraph:
     nodes: tuple[VertexSet, ...]
     edges: tuple[tuple[VertexSet, frozenset[int]], ...]
 
-    def node_index(self, v: int) -> int:
-        for idx, comp in enumerate(self.nodes):
-            if v in comp:
-                return idx
-        raise ContractViolation(f"vertex {v} is not in any hypergraph node")
-
 
 def build_hypergraph(dec: VertexCoverDecomposition, z: Iterable[int]) -> CutHypergraph:
     zset = frozenset(z)
@@ -225,17 +219,21 @@ def separate(
     class; empty iff every class decodes to a connected subgraph.
 
     For a disconnected class i the separator is Z = X minus the class's
-    cover part, and F collects the hyperedges without class-i stable
-    vertices that touch the region reachable from u through used ones; any
-    path reconnecting u to v must cross F, so the cut is valid for every
-    feasible solution yet violated here.
+    cover part, and F collects the neighborhood classes S that touch u's
+    component of the class but give the class no stable vertex.  In H_Z
+    (`build_hypergraph`) these are the hyperedges without class-i stable
+    vertices that touch the nodes reachable from u through those with
+    them.  Any path reconnecting u to v must cross F, so the cut is valid
+    for every feasible solution yet violated here.
     """
     xset = frozenset(dec.cover)
     cuts: list[CutConstraint] = []
     for i, members in enumerate(_decode_classes(dec, k, candidate)):
-        if not members or is_connected(g, frozenset(members)):
+        if not members:
             continue
         comps = components(g, frozenset(members))
+        if len(comps) == 1:
+            continue
         x_in_class = members & xset
         if not x_in_class:
             raise ContractViolation(f"disconnected class {i} has no cover vertex")
@@ -248,25 +246,10 @@ def separate(
             )
         v = other_x[0]
         z = xset - x_in_class
-        hyper = build_hypergraph(dec, z)
-        node_of_u = hyper.node_index(u)
-        active = [
-            (s, touched)
-            for s, touched in hyper.edges
-            if candidate.y_val(s, i) >= 1
-        ]
-        reach = {node_of_u}
-        grown = True
-        while grown:
-            grown = False
-            for _, touched in active:
-                if touched & reach and not touched <= reach:
-                    reach |= touched
-                    grown = True
         f_edges = frozenset(
             s
-            for s, touched in hyper.edges
-            if candidate.y_val(s, i) == 0 and touched & reach
+            for s in dec.classes_by_neighborhood
+            if candidate.y_val(s, i) == 0 and s & comp_u
         )
         cut = CutConstraint(u=u, v=v, class_index=i, z=z, hyperedges=f_edges)
         if cut.satisfied_by(candidate):

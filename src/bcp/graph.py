@@ -135,11 +135,9 @@ def non_cut_vertex(g: WeightedGraph, s: VertexSet) -> int:
     order, parent = _dfs_tree(g, s, root)
     if len(order) != len(s):
         raise ContractViolation("non_cut_vertex() requires a connected vertex set")
-    children = {v: 0 for v in s}
-    for v in order:
-        if v != root:
-            children[parent[v]] += 1
-    return min(v for v in s if v != root and children[v] == 0)
+    # The leaves are the vertices that are nobody's parent; parent[root]
+    # is root itself, so the root never counts as one.
+    return min(s - set(parent.values()))
 
 
 def split_two(g: WeightedGraph, s: VertexSet) -> tuple[VertexSet, VertexSet]:
@@ -157,39 +155,23 @@ def split_two(g: WeightedGraph, s: VertexSet) -> tuple[VertexSet, VertexSet]:
     if len(order) != len(s):
         raise ContractViolation("split_two() requires a connected vertex set")
 
-    subtree = {v: g.weights[v] for v in s}
-    for v in reversed(order):
-        if v != root:
-            subtree[parent[v]] += subtree[v]
-    total = subtree[root]
+    # One reverse pass sums the weight and size of every subtree; a subtree
+    # is a contiguous run of the preorder, starting at its root.
+    weight = {v: g.weights[v] for v in s}
+    size = dict.fromkeys(s, 1)
+    for v in reversed(order[1:]):
+        weight[parent[v]] += weight[v]
+        size[parent[v]] += size[v]
+    total = weight[root]
 
-    best: tuple[int, tuple[int, int], int] | None = None
-    for v in order:
-        if v == root:
-            continue
-        edge = (min(v, parent[v]), max(v, parent[v]))
-        imbalance = abs(total - 2 * subtree[v])
-        cand = (imbalance, edge, v)
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-    assert best is not None
-    _, _, child = best
+    def imbalance_then_edge(at: int) -> tuple[int, int, int]:
+        v = order[at]
+        u = parent[v]
+        return abs(total - 2 * weight[v]), min(u, v), max(u, v)
 
-    below = set()
-    stack = [child]
-    kids: dict[int, list[int]] = {v: [] for v in s}
-    for v in order:
-        if v != root:
-            kids[parent[v]].append(v)
-    while stack:
-        v = stack.pop()
-        below.add(v)
-        stack.extend(kids[v])
-    side_a = frozenset(s - below)
-    side_b = frozenset(below)
-    if root in side_b:
-        side_a, side_b = side_b, side_a
-    return side_a, side_b
+    at = min(range(1, len(order)), key=imbalance_then_edge)
+    below = frozenset(order[at : at + size[order[at]]])
+    return s - below, below
 
 
 def boundary_neighbors(g: WeightedGraph, frm: VertexSet, inside: VertexSet) -> list[int]:

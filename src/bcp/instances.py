@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import ParseError
@@ -24,9 +26,10 @@ from .graph import WeightedGraph
 FAMILIES = ("random-tree", "tree-plus-edges", "spider", "grid", "star")
 
 
-def _parse_weight(token: str, line_no: int) -> Fraction:
+def _parse_weight(token: str, line_no: int) -> int | Fraction:
     try:
-        value = Fraction(token)
+        # Plain digit strings, by far the most common, skip Fraction's regex.
+        value = int(token) if token.isdecimal() else Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad weight {token!r}", line_no) from None
     if value <= 0:
@@ -38,7 +41,7 @@ def parse_instance(text: str) -> WeightedGraph:
     """Parse and validate an instance; raises ParseError with a line number
     on malformed input."""
     n = m = None
-    weights: dict[int, Fraction] = {}
+    weights: dict[int, int | Fraction] = {}
     edges: dict[tuple[int, int], None] = {}  # insertion-ordered set
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -114,6 +117,29 @@ def write_instance(g: WeightedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _MissingPairs(Sequence):
+    """The pairs (u, v), u < v < n, that are not in `present`, in
+    lexicographic order, computed on indexing instead of listed: a pair's
+    rank among all n(n-1)/2 pairs, shifted past the present ranks below it."""
+
+    def __init__(self, n: int, present: list[tuple[int, int]]) -> None:
+        self.row_start = [u * n - u * (u + 1) // 2 for u in range(n - 1)]
+        ranks = sorted(self.row_start[u] + v - u - 1 for u, v in present)
+        # Missing pairs ranked below each present one; nondecreasing.
+        self.missing_below = [r - i for i, r in enumerate(ranks)]
+        self.size = n * (n - 1) // 2 - len(ranks)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, j: int) -> tuple[int, int]:
+        if not 0 <= j < self.size:
+            raise IndexError(j)
+        rank = j + bisect_right(self.missing_below, j)
+        u = bisect_right(self.row_start, rank) - 1
+        return u, u + 1 + rank - self.row_start[u]
+
+
 def _random_weights(rng: random.Random, n: int, lo: int, hi: int) -> list[int]:
     return [rng.randint(lo, hi) for _ in range(n)]
 
@@ -138,14 +164,8 @@ def generate(
     if family == "random-tree":
         edges = random_tree()
     elif family == "tree-plus-edges":
-        edges = random_tree()
-        present = {(min(u, v), max(u, v)) for u, v in edges}
-        candidates = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if (u, v) not in present
-        ]
+        edges = random_tree()  # each edge is (parent, child), parent < child
+        candidates = _MissingPairs(n, edges)
         extra = min(len(candidates), max(1, n // 3))
         edges += rng.sample(candidates, extra)
     elif family == "spider":

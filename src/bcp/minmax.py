@@ -24,7 +24,6 @@ from .graph import (
     _dfs_tree,
     boundary_neighbors,
     components,
-    is_connected,
     non_cut_vertex,
     split_two,
 )
@@ -120,8 +119,8 @@ def pull_check(g: WeightedGraph, p: Partition, i: int) -> VertexSet | None:
 def pull(g: WeightedGraph, p: Partition, move: PullMove) -> Partition:
     """Move U from V3 into light class i, then reorder.
 
-    The move must keep both affected classes connected and make the grown
-    class lighter than the old V3.
+    The move must make the grown class lighter than the old V3 and keep
+    both affected classes connected; `order3` checks the latter.
     """
     _require_ordered3(g, p)
     if move.target not in (1, 2):
@@ -136,37 +135,18 @@ def pull(g: WeightedGraph, p: Partition, move: PullMove) -> Partition:
         raise ContractViolation("pull set must be a nonempty proper subset of V3")
     if g.weight(vi | u) >= g.weight(v3):
         raise ContractViolation("pull set would not shrink the heaviest class")
-    if not is_connected(g, vi | u) or not is_connected(g, v3 - u):
-        raise ContractViolation("pull set breaks connectivity")
     return order3(g, (vj, vi | u, v3 - u))
 
 
 def initial_3partition(g: WeightedGraph) -> Partition:
-    """Deterministic starting point: peel the last-discovered leaf off a DFS
-    spanning tree twice; the two peeled vertices become singleton classes."""
+    """Deterministic starting point: the last two vertices of the DFS
+    preorder from vertex 0 become singleton classes.  Each vertex's parent
+    precedes it in the preorder, so every prefix, and in particular the
+    rest, induces a connected subgraph."""
     if g.n < 3:
         raise ContractViolation("need at least 3 vertices for a 3-partition")
-    everything = frozenset(range(g.n))
-    order, parent = _dfs_tree(g, everything, 0)
-    position = {v: idx for idx, v in enumerate(order)}
-    degree = {v: 0 for v in order}
-    for v in order:
-        if v != parent[v]:
-            degree[v] += 1
-            degree[parent[v]] += 1
-    removed: list[int] = []
-    alive = set(order)
-    for _ in range(2):
-        leaf = max((v for v in alive if degree[v] <= 1), key=position.__getitem__)
-        alive.remove(leaf)
-        removed.append(leaf)
-        if leaf != parent[leaf] and parent[leaf] in alive:
-            degree[parent[leaf]] -= 1
-        for w in alive:
-            if parent[w] == leaf:
-                degree[w] -= 1
-    rest = everything - set(removed)
-    return order3(g, (frozenset({removed[0]}), frozenset({removed[1]}), rest))
+    *rest, second, last = _dfs_tree(g, frozenset(range(g.n)), 0)[0]
+    return order3(g, (frozenset({last}), frozenset({second}), frozenset(rest)))
 
 
 def _improvement_loop(g: WeightedGraph, p: Partition) -> tuple[Partition, int]:

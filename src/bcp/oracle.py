@@ -9,25 +9,16 @@ exact min-max / max-min optima.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExceeded, ContractViolation
 from .graph import WeightedGraph
 from .partition import Partition
 
-
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Hard caps for exhaustive enumeration; exceeding one raises
-    BudgetExceeded rather than truncating silently."""
-
-    max_vertices: int = 14
-    max_partitions: int = 2_000_000
-    max_seconds: float | None = None
-
-
-DEFAULT_BUDGET = EnumerationBudget()
+# Hard caps for exhaustive enumeration; exceeding one, or the optional time
+# budget, raises BudgetExceeded rather than truncating silently.
+MAX_VERTICES = 14
+MAX_PARTITIONS = 2_000_000
 
 
 def _mask_connected(nbr: tuple[int, ...], mask: int) -> bool:
@@ -49,7 +40,7 @@ def _mask_connected(nbr: tuple[int, ...], mask: int) -> bool:
 
 
 def enumerate_connected_kpartitions(
-    g: WeightedGraph, k: int, budget: EnumerationBudget = DEFAULT_BUDGET
+    g: WeightedGraph, k: int, max_seconds: float | None = None
 ) -> Iterator[Partition]:
     """Yield each connected k-partition of g exactly once.
 
@@ -59,17 +50,13 @@ def enumerate_connected_kpartitions(
     n = g.n
     if not 1 <= k <= n:
         raise ContractViolation(f"k must be in [1, {n}], got {k}")
-    if n > budget.max_vertices:
-        raise BudgetExceeded(
-            f"{n} vertices exceeds enumeration budget of {budget.max_vertices}"
-        )
+    if n > MAX_VERTICES:
+        raise BudgetExceeded(f"{n} vertices exceeds enumeration budget of {MAX_VERTICES}")
     nbr = tuple(
         sum(1 << w for w in g.adjacency[v]) for v in range(n)
     )
     full = (1 << n) - 1
-    deadline = None
-    if budget.max_seconds is not None:
-        deadline = time.monotonic() + budget.max_seconds
+    deadline = time.monotonic() + max_seconds if max_seconds is not None else None
     yielded = 0
     ticks = 0
 
@@ -90,10 +77,8 @@ def enumerate_connected_kpartitions(
         if v == n:
             if len(masks) == k and all(_mask_connected(nbr, m) for m in masks):
                 yielded += 1
-                if yielded > budget.max_partitions:
-                    raise BudgetExceeded(
-                        f"more than {budget.max_partitions} partitions"
-                    )
+                if yielded > MAX_PARTITIONS:
+                    raise BudgetExceeded(f"more than {MAX_PARTITIONS} partitions")
                 yield decode()
             return
         if len(masks) + (n - v) < k:
@@ -130,14 +115,14 @@ def _signature(p: Partition) -> tuple[tuple[int, ...], ...]:
 def _optimum(
     g: WeightedGraph,
     k: int,
-    budget: EnumerationBudget,
+    max_seconds: float | None,
     objective: Callable[[Iterable[int]], int],
 ) -> tuple[int, Partition]:
     """Optimum over all connected k-partitions of the class-weight objective:
     max (heaviest class) is minimized, min (lightest class) maximized."""
     flip = 1 if objective is max else -1
     best: tuple[int, tuple, Partition] | None = None
-    for p in enumerate_connected_kpartitions(g, k, budget):
+    for p in enumerate_connected_kpartitions(g, k, max_seconds):
         value = objective(g.weight(c) for c in p)
         if best is None or flip * value < flip * best[0]:
             best = (value, _signature(p), p)
@@ -150,16 +135,16 @@ def _optimum(
 
 
 def exact_minmax(
-    g: WeightedGraph, k: int, budget: EnumerationBudget = DEFAULT_BUDGET
+    g: WeightedGraph, k: int, max_seconds: float | None = None
 ) -> tuple[int, Partition]:
     """Minimum heaviest-class weight over all connected k-partitions, with a
     witness (ties: lexicographically smallest class signature)."""
-    return _optimum(g, k, budget, max)
+    return _optimum(g, k, max_seconds, max)
 
 
 def exact_maxmin(
-    g: WeightedGraph, k: int, budget: EnumerationBudget = DEFAULT_BUDGET
+    g: WeightedGraph, k: int, max_seconds: float | None = None
 ) -> tuple[int, Partition]:
     """Maximum lightest-class weight over all connected k-partitions, with a
     witness (ties: lexicographically smallest class signature)."""
-    return _optimum(g, k, budget, min)
+    return _optimum(g, k, max_seconds, min)

@@ -4,11 +4,18 @@ Slow on purpose: each checks a definition directly instead of the fast
 path the package takes.
 """
 
+import random
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from bcp.errors import BudgetExceeded, ContractViolation
-from bcp.fpt import CutConstraint, FptModel, ModelCandidate
+from bcp.fpt import (
+    CutConstraint,
+    FptModel,
+    ModelCandidate,
+    VertexCoverDecomposition,
+    build_hypergraph,
+)
 from bcp.graph import VertexSet, WeightedGraph, is_connected
 from bcp.partition import Partition
 
@@ -96,3 +103,39 @@ def check_base(model: FptModel, candidate: ModelCandidate) -> list[str]:
 
 def violated_cuts(model: FptModel, candidate: ModelCandidate) -> list[CutConstraint]:
     return [c for c in model.cuts if not c.satisfied_by(candidate)]
+
+
+def tree_plus_edges(n: int, weight_range: tuple[int, int] = (1, 1), seed: int = 0) -> WeightedGraph:
+    """`generate("tree-plus-edges", ...)` sampling from an explicit list of
+    all ~n²/2 missing pairs.  The fast path is bcp.instances._MissingPairs."""
+    lo, hi = weight_range
+    rng = random.Random(("tree-plus-edges", n, lo, hi, seed).__repr__())
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    present = {(min(u, v), max(u, v)) for u, v in edges}
+    candidates = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present
+    ]
+    edges += rng.sample(candidates, min(len(candidates), max(1, n // 3)))
+    return WeightedGraph.from_edges(n, edges, [rng.randint(lo, hi) for _ in range(n)])
+
+
+def reach_hyperedges(
+    dec: VertexCoverDecomposition, candidate: ModelCandidate, i: int, u: int, z: VertexSet
+) -> frozenset[VertexSet]:
+    """F of a class-i cut from u, as a fixpoint over H_Z: grow the nodes
+    reachable from u's node through hyperedges with class-i stable vertices,
+    then take the hyperedges without them that touch a reached node.  The
+    fast path is bcp.fpt.separate."""
+    hyper = build_hypergraph(dec, z)
+    reach = {next(idx for idx, comp in enumerate(hyper.nodes) if u in comp)}
+    active = [touched for s, touched in hyper.edges if candidate.y_val(s, i) >= 1]
+    grown = True
+    while grown:
+        grown = False
+        for touched in active:
+            if touched & reach and not touched <= reach:
+                reach |= touched
+                grown = True
+    return frozenset(
+        s for s, touched in hyper.edges if candidate.y_val(s, i) == 0 and touched & reach
+    )

@@ -20,7 +20,7 @@ from bcp.oracle import enumerate_connected_kpartitions, exact_maxmin
 from bcp.partition import validate
 
 from .conftest import cycle_graph, grid_graph, path_graph, star_graph
-from .reference import check_base, class_size, encode, violated_cuts
+from .reference import check_base, class_size, encode, reach_hyperedges, violated_cuts
 
 
 def fs(*vs):
@@ -283,6 +283,38 @@ def test_matches_oracle_on_structured_families():
             result = solve_fpt_maxmin(g, k, cover)
             expected, _ = exact_maxmin(g, k)
             assert result.value == expected
+
+
+def test_separation_matches_hypergraph_reach_fixpoint():
+    # The cover is independent, and each stable vertex sees one to three
+    # cover vertices, so a class component often spans several H_Z nodes
+    # (about a fifth of the compared cuts reach past u's own node).
+    rng = random.Random(0x5E9)
+    compared = 0
+    while compared < 300:
+        cx = rng.randint(3, 8)
+        n = cx + rng.randint(cx, 3 * cx)
+        edges = {(u, v) for v in range(cx, n) for u in rng.sample(range(cx), rng.randint(1, 3))}
+        try:
+            g = WeightedGraph.from_edges(n, sorted(edges))
+        except InputError:
+            continue
+        dec = decompose(g, range(cx))
+        k = rng.randint(2, 3)
+        x_class = {v: rng.randrange(k) for v in range(cx)}
+        y = {}
+        for s, members in dec.classes_by_neighborhood.items():
+            counts = [0] * k
+            eligible = sorted({x_class[v] for v in s})
+            for _ in members:
+                counts[rng.choice(eligible)] += 1
+            y[s] = tuple(counts)
+        candidate = ModelCandidate(k=k, x_class=x_class, y=y)
+        for cut in separate(g, dec, k, candidate):
+            assert cut.hyperedges == reach_hyperedges(
+                dec, candidate, cut.class_index, cut.u, cut.z
+            )
+            compared += 1
 
 
 def _all_distributions(model, x_class, k):

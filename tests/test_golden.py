@@ -1,0 +1,81 @@
+"""Golden CLI outputs: the sha256 of what `bcp` prints for fixed generated
+instances, `time-ms:` lines removed.  A refactor must leave every digest
+unchanged; a deliberate output change updates the digest and says why."""
+
+import hashlib
+
+import pytest
+
+from bcp.cli import run_cli
+from bcp.instances import generate, write_instance
+
+# (case id, family, n, weight range, seed, arguments after the instance,
+#  sha256 of stdout, sha256 of the dumped model or None)
+CASES = [
+    ("solve-spider", "spider", 61, (1, 1), 0,
+     ["solve", "--k", "3"],
+     "2e0c2e62b75156326973b9d961ab6ed69248744d8d09e73cb1b3de4c35dde407", None),
+    ("solve-tree", "random-tree", 40, (1, 9), 2,
+     ["solve", "--k", "4"],
+     "8cbaf46b7025f5f3d120e0a84f600cf097b61e864ba646fb8e4638cbebaedd28", None),
+    ("solve-grid", "grid", 36, (1, 5), 3,
+     ["solve", "--k", "5"],
+     "298699173e27ffd7302d46796c685b79b45b15c6a1c3f3aae81d126c1700eadb", None),
+    ("solve-star", "star", 30, (1, 20), 4,
+     ["solve", "--k", "3"],
+     "b10ad127f0eabe5273c1bad6382abd528d10b670f0823a0e22635476b65a397a", None),
+    ("solve-tree-plus-edges", "tree-plus-edges", 50, (1, 9), 5,
+     ["solve", "--k", "6"],
+     "8445d95bbf01ec5494e1548638542cf6d8653a5e66452aca30c25ddb9f745828", None),
+    ("solve-spider-weighted", "spider", 200, (1, 3), 6,
+     ["solve", "--k", "7"],
+     "28b42b95ac0ad9831202ed271e3ffd9f9861986ddb9941eb4096e1ed870820a0", None),
+    ("solve-eps-tree", "random-tree", 40, (1, 50), 7,
+     ["solve", "--k", "3", "--epsilon", "1/4"],
+     "9847f44cb43674c867b6fc99fd787d4c73c8aeb7737c7722c2027dedf1c15f33", None),
+    ("solve-eps-star", "star", 25, (1, 9), 8,
+     ["solve", "--k", "4", "--epsilon", "1/2"],
+     "f3235101e20005d2fb5cdf49131074b3f2830696d5e5c55aacfd1fa2535be4b2", None),
+    ("exact-minmax", "tree-plus-edges", 10, (1, 9), 9,
+     ["exact", "--objective", "minmax", "--k", "3"],
+     "57f354fcfd9e27eaf167c767950e34b8e15e8c2c5d8cfb59752f5496dfb27ea8", None),
+    ("exact-maxmin", "grid", 9, (1, 5), 10,
+     ["exact", "--objective", "maxmin", "--k", "3"],
+     "aaaa814533410f8fd328bb3844b2059dc6e8a7228637009f4f2c5854f8a91c9c", None),
+    ("exact-minmax-tree", "random-tree", 11, (1, 9), 11,
+     ["exact", "--objective", "minmax", "--k", "4"],
+     "7665b307bab6bdd1d5ca9563bbe6762673dd4954f2e2276d2a2911455905ac4b", None),
+    ("fpt-tree-plus-edges", "tree-plus-edges", 12, (1, 1), 12,
+     ["fpt-maxmin", "--k", "3", "--dump-model", "model.txt"],
+     "df99bcbf90a95f8c7c4d2b896d42c18dfe1e7e01756072b250f15bfebcf4afb8",
+     "f7ca6674351d716ff93d833969ef43ae1f09d2790be5ed4d1b7a72f36630bda0"),
+    ("fpt-grid", "grid", 15, (1, 1), 13,
+     ["fpt-maxmin", "--k", "3", "--dump-model", "model.txt"],
+     "7ae4e8793333558617ebc528ecf038a56ecf2c1a8f850d8fca2f52c1a5874839",
+     "3b60c8c2c68f67d41258198099cd018b54460363419f46749e5b7d2c6fe8fae1"),
+]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "family, n, weights, seed, args, out_digest, dump_digest",
+    [case[1:] for case in CASES],
+    ids=[case[0] for case in CASES],
+)
+def test_cli_output_digest(
+    tmp_path, monkeypatch, capsys, family, n, weights, seed, args, out_digest, dump_digest
+):
+    # Relative file names, so the printed paths are the same everywhere.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.bcp").write_text(write_instance(generate(family, n, weights, seed)))
+    assert run_cli([args[0], "g.bcp", *args[1:]]) == 0
+    out = capsys.readouterr().out
+    kept = "".join(
+        line for line in out.splitlines(keepends=True) if not line.startswith("time-ms:")
+    )
+    dump = tmp_path / "model.txt"
+    assert sha256(kept) == out_digest
+    assert (sha256(dump.read_text()) if dump.exists() else None) == dump_digest

@@ -3,6 +3,7 @@ import pytest
 from bcp.errors import ParseError
 from bcp.instances import FAMILIES, generate, parse_instance, write_instance
 
+from . import reference
 from .conftest import star_graph
 
 
@@ -69,6 +70,26 @@ class TestParse:
             parse_instance("p bcp 2 1\nq nonsense\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "token, weights",
+        [("1_000", (1000, 1)), ("+3", (3, 1)), ("3.0", (3, 1)), ("1/2", (1, 2)),
+         ("007", (7, 1))],
+    )
+    def test_weight_tokens_accepted(self, token, weights):
+        # Digit-only tokens take a fast int path; the rest still go through
+        # Fraction, so the same tokens parse to the same weights.
+        assert parse_instance(f"p bcp 2 1\nv 0 {token}\nv 1 1\ne 0 1\n").weights == weights
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [("0", "weight must be positive"), ("-1", "weight must be positive"),
+         ("1/0", "bad weight")],
+    )
+    def test_weight_tokens_rejected(self, token, message):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_instance(f"p bcp 2 1\nv 0 {token}\nv 1 1\ne 0 1\n")
+        assert exc.value.line == 2
+
 
 class TestRoundTrip:
     def test_parse_write_parse(self):
@@ -104,6 +125,13 @@ class TestGenerate:
         assert a == b
         c = generate("random-tree", 8, (1, 9), seed=2)
         assert a != c
+
+    @pytest.mark.parametrize("n", [*range(3, 61), 500])
+    def test_tree_plus_edges_matches_list_sampler(self, n):
+        for seed in range(3):
+            assert generate("tree-plus-edges", n, (1, 9), seed) == reference.tree_plus_edges(
+                n, (1, 9), seed
+            )
 
     def test_tree_plus_edges_has_cycles(self):
         g = generate("tree-plus-edges", 9, seed=3)

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 
 from bcp.errors import BudgetExceeded, ContractViolation
 from bcp.graph import is_connected
+import bcp.oracle
 from bcp.oracle import (
-    EnumerationBudget,
+    MAX_VERTICES,
     enumerate_connected_kpartitions,
     exact_maxmin,
     exact_minmax,
@@ -56,28 +57,21 @@ class TestEnumeration:
             assert count == comb(n - 1, k - 1)
 
     def test_vertex_budget(self):
-        g = path_graph(6)
+        g = path_graph(MAX_VERTICES + 1)
         with pytest.raises(BudgetExceeded):
-            list(enumerate_connected_kpartitions(g, 2, EnumerationBudget(max_vertices=5)))
+            list(enumerate_connected_kpartitions(g, 2))
 
-    def test_partition_budget(self):
+    def test_partition_budget(self, monkeypatch):
+        monkeypatch.setattr(bcp.oracle, "MAX_PARTITIONS", 3)
         g = path_graph(8)
         with pytest.raises(BudgetExceeded):
-            list(
-                enumerate_connected_kpartitions(
-                    g, 3, EnumerationBudget(max_partitions=3)
-                )
-            )
+            list(enumerate_connected_kpartitions(g, 3))
 
     def test_time_budget(self):
         g = cycle_graph(12)
         with pytest.raises(BudgetExceeded):
             for _ in range(5):  # a few passes to outlast the zero budget
-                list(
-                    enumerate_connected_kpartitions(
-                        g, 4, EnumerationBudget(max_seconds=0.0)
-                    )
-                )
+                list(enumerate_connected_kpartitions(g, 4, max_seconds=0.0))
 
     def test_k_out_of_range(self):
         with pytest.raises(ContractViolation):
