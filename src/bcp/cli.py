@@ -72,9 +72,11 @@ def _budget_seconds() -> float | None:
     if raw is None:
         return None
     try:
-        return float(raw)
+        if float(raw) >= 0:  # false for NaN, which would never pass a deadline
+            return float(raw)
     except ValueError:
-        raise InputError(f"{BUDGET_ENV} must be a number, got {raw!r}") from None
+        pass
+    raise InputError(f"{BUDGET_ENV} must be a number >= 0, got {raw!r}")
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -249,19 +251,22 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_one(entry: dict, index: int) -> BenchRecord:
+def _bench_one(entry: object, index: int) -> BenchRecord:
+    if not isinstance(entry, dict):
+        raise InputError(f"suite entry {index} must be an object")
     for key in ("family", "n", "k", "algorithm"):
         if key not in entry:
             raise InputError(f"suite entry {index} misses {key!r}")
     family = entry["family"]
-    n = int(entry["n"])
-    k = int(entry["k"])
-    lo, hi = entry.get("weights", [1, 1])
-    seed = int(entry.get("seed", 0))
+    try:
+        n, k, seed = int(entry["n"]), int(entry["k"]), int(entry.get("seed", 0))
+        lo, hi = (int(w) for w in entry.get("weights", [1, 1]))
+    except (TypeError, ValueError):
+        raise InputError(f"suite entry {index}: n, k, seed and weights must be integers") from None
     algorithm = entry["algorithm"]
     instance_id = entry.get("id", f"{family}-n{n}-s{seed}")
     try:
-        g = generate(family, n, (int(lo), int(hi)), seed)
+        g = generate(family, n, (lo, hi), seed)
     except ValueError as exc:
         raise InputError(f"suite entry {index}: {exc}") from exc
 
@@ -316,7 +321,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise InputError(f"cannot read {args.suite}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"suite is not valid JSON: {exc}") from exc
-    entries = suite.get("entries")
+    entries = suite.get("entries") if isinstance(suite, dict) else None
     if not isinstance(entries, list):
         raise InputError("suite must hold an 'entries' list")
     records = [_bench_one(entry, i) for i, entry in enumerate(entries)]

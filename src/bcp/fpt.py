@@ -275,57 +275,50 @@ def reconstruct(
 def _max_flow(
     supplies: list[int], demands: list[int], elig: list[list[int]]
 ) -> list[list[int]] | None:
-    """Integral transport meeting every demand, or None.
+    """Integral transport meeting every demand, or None: flow[j][i] units
+    from group j (at most supplies[j]) to class i in elig[j].
 
-    Tiny Edmonds-Karp specialization: source -> group j (cap supply), group
-    -> class i for eligible i (unbounded), class -> sink (cap demand).
+    Edmonds-Karp on the flow matrix.  A search starts from the groups with
+    supply left and ends at the first class reached with demand left; from
+    class i it goes back along flow to the groups eligible for i, ascending.
     """
     m, k = len(supplies), len(demands)
-    need = sum(demands)
-    if need == 0:
-        return [[0] * k for _ in range(m)]
-    src, snk = m + k, m + k + 1
-    cap: dict[tuple[int, int], int] = {}
-    adj: dict[int, list[int]] = {n: [] for n in range(m + k + 2)}
-
-    def arc(a: int, b: int, c: int) -> None:
-        cap[(a, b)] = c
-        cap[(b, a)] = cap.get((b, a), 0)
-        if b not in adj[a]:
-            adj[a].append(b)
-        if a not in adj[b]:
-            adj[b].append(a)
-
-    for j, s in enumerate(supplies):
-        arc(src, j, s)
-    for j in range(m):
-        for i in elig[j]:
-            arc(j, m + i, need)
-    for i, d in enumerate(demands):
-        arc(m + i, snk, d)
-
-    sent = 0
-    while sent < need:
-        parent = {src: src}
-        queue = deque([src])
-        while queue and snk not in parent:
-            a = queue.popleft()
-            for b in adj[a]:
-                if b not in parent and cap.get((a, b), 0) > 0:
-                    parent[b] = a
-                    queue.append(b)
-        if snk not in parent:
+    flow = [[0] * k for _ in range(m)]
+    supply, short = list(supplies), list(demands)
+    senders = [[j for j in range(m) if i in elig[j]] for i in range(k)]
+    while any(short):
+        came_from = {j: None for j in range(m) if supply[j] > 0}
+        reached: dict[int, int] = {}
+        queue = deque(came_from)
+        end = None
+        while queue and end is None:
+            j = queue.popleft()
+            for i in elig[j]:
+                if i in reached:
+                    continue
+                reached[i] = j
+                if short[i] > 0:
+                    end = i
+                    break
+                for back in senders[i]:
+                    if back not in came_from and flow[back][i] > 0:
+                        came_from[back] = i
+                        queue.append(back)
+        if end is None:
             return None
-        path = [snk]
-        while path[-1] != src:
-            path.append(parent[path[-1]])
-        path.reverse()
-        push = min(cap[(path[t], path[t + 1])] for t in range(len(path) - 1))
-        for t in range(len(path) - 1):
-            cap[(path[t], path[t + 1])] -= push
-            cap[(path[t + 1], path[t])] = cap.get((path[t + 1], path[t]), 0) + push
-        sent += push
-    return [[cap.get((m + i, j), 0) for i in range(k)] for j in range(m)]
+        path, i = [], end
+        while i is not None:
+            path.append((reached[i], i))
+            i = came_from[reached[i]]
+        first = path[-1][0]
+        push = min([short[end], supply[first]] + [flow[j][came_from[j]] for j, _ in path[:-1]])
+        short[end] -= push
+        supply[first] -= push
+        for j, i in path:
+            flow[j][i] += push
+            if came_from[j] is not None:
+                flow[j][came_from[j]] -= push
+    return flow
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -376,20 +369,18 @@ def _distribute(
             base_eff[i] += 1
         supplies = [counts[j] - per_group[j] for j in range(m)]
 
+        # The last feasible probe set lo, so its flow is the flow at lo.
         lo, hi = 0, cap_value
+        alloc = [[0] * k for _ in range(m)]
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            demands = [max(0, mid - b) for b in base_eff]
-            if _max_flow(supplies, demands, elig) is not None:
-                lo = mid
+            flow = _max_flow(supplies, [max(0, mid - b) for b in base_eff], elig)
+            if flow is not None:
+                lo, alloc = mid, flow
             else:
                 hi = mid - 1
         if best is not None and lo <= best[0]:
             continue
-        demands = [max(0, lo - b) for b in base_eff]
-        flow = _max_flow(supplies, demands, elig)
-        assert flow is not None
-        alloc = [row[:] for row in flow]
         for j, i in forced:
             alloc[j][i] += 1
         best = (lo, alloc)

@@ -179,4 +179,4 @@ def boundary_neighbors(g: WeightedGraph, frm: VertexSet, inside: VertexSet) -> l
     ascending ids.  The two sets must be disjoint."""
     if frm & inside:
         raise ContractViolation("boundary_neighbors() requires disjoint sets")
-    return [v for v in sorted(inside) if any(u in frm for u in g.adjacency[v])]
+    return sorted({v for u in frm for v in g.adjacency[u] if v in inside})

@@ -45,14 +45,6 @@ class Certificate(Enum):
 
 
 @dataclass(frozen=True)
-class PullMove:
-    """A pull-admissible set together with its target light class (1 or 2)."""
-
-    u_set: VertexSet
-    target: int
-
-
-@dataclass(frozen=True)
 class BcpkResult:
     classes: Partition
     certificate: Certificate
@@ -65,24 +57,19 @@ def _require_ordered3(g: WeightedGraph, p: Partition) -> None:
         raise ContractViolation("expected a weight-ordered connected 3-partition")
 
 
-def _adjacent(g: WeightedGraph, a: VertexSet, b: VertexSet) -> bool:
-    return bool(boundary_neighbors(g, a, b))
-
-
-def merge(g: WeightedGraph, p: Partition) -> Partition:
+def merge(g: WeightedGraph, p: Partition) -> Partition | None:
     """Fuse V1 with V2 and split V3 into two connected halves.
 
-    Requires w(V3) > w(G)/2, |V3| >= 2 and V1 adjacent to V2; the result is
+    Requires w(V3) > w(G)/2.  Returns None when the move does not apply:
+    V1 and V2 are not adjacent, or |V3| < 2.  Otherwise the result is
     ordered and its heaviest class is strictly lighter than the old V3.
     """
     _require_ordered3(g, p)
     v1, v2, v3 = p
     if 2 * g.weight(v3) <= g.total_weight:
         raise ContractViolation("merge() requires w(V3) > w(G)/2")
-    if len(v3) < 2:
-        raise ContractViolation("merge() requires |V3| >= 2")
-    if not _adjacent(g, v1, v2):
-        raise ContractViolation("merge() requires V1 and V2 adjacent")
+    if len(v3) < 2 or not boundary_neighbors(g, v1, v2):
+        return None
     a, b = split_two(g, v3)
     return order3(g, (v1 | v2, a, b))
 
@@ -116,26 +103,14 @@ def pull_check(g: WeightedGraph, p: Partition, i: int) -> VertexSet | None:
     return None
 
 
-def pull(g: WeightedGraph, p: Partition, move: PullMove) -> Partition:
-    """Move U from V3 into light class i, then reorder.
-
-    The move must make the grown class lighter than the old V3 and keep
-    both affected classes connected; `order3` checks the latter.
-    """
-    _require_ordered3(g, p)
-    if move.target not in (1, 2):
-        raise ContractViolation("pull target must be 1 or 2")
-    v3 = p[2]
-    vi = p[move.target - 1]
-    vj = p[2 - move.target]
-    u = move.u_set
-    if 2 * g.weight(v3) <= g.total_weight:
-        raise ContractViolation("pull() requires w(V3) > w(G)/2")
-    if not u or not u < v3:
-        raise ContractViolation("pull set must be a nonempty proper subset of V3")
-    if g.weight(vi | u) >= g.weight(v3):
-        raise ContractViolation("pull set would not shrink the heaviest class")
-    return order3(g, (vj, vi | u, v3 - u))
+def pull(g: WeightedGraph, p: Partition, i: int) -> Partition | None:
+    """Move the set `pull_check(g, p, i)` finds from V3 into light class i
+    in {1, 2} and reorder, or return None when it finds none.  `order3`
+    checks that all three classes stay connected."""
+    u = pull_check(g, p, i)
+    if u is None:
+        return None
+    return order3(g, (p[2 - i], p[i - 1] | u, p[2] - u))
 
 
 def initial_3partition(g: WeightedGraph) -> Partition:
@@ -159,17 +134,10 @@ def _improvement_loop(g: WeightedGraph, p: Partition) -> tuple[Partition, int]:
     iterations = 0
     while 2 * g.weight(p[2]) > total:
         before = g.weight(p[2])
-        if _adjacent(g, p[0], p[1]) and len(p[2]) >= 2:
-            p = merge(g, p)
-        else:
-            u = pull_check(g, p, 1)
-            target = 1
-            if u is None:
-                u = pull_check(g, p, 2)
-                target = 2
-            if u is None:
-                break
-            p = pull(g, p, PullMove(u, target))
+        moved = merge(g, p) or pull(g, p, 1) or pull(g, p, 2)
+        if moved is None:
+            break
+        p = moved
         iterations += 1
         if g.weight(p[2]) >= before:
             raise InternalError("heaviest class weight did not decrease")
@@ -201,7 +169,7 @@ def star_center_certificate(g: WeightedGraph, p: Partition) -> StarCenterCertifi
         raise ContractViolation("star certificate needs w(V3) > w(G)/2")
     if len(v3) < 2:
         raise ContractViolation("star certificate needs |V3| >= 2")
-    if _adjacent(g, v1, v2):
+    if boundary_neighbors(g, v1, v2):
         raise ContractViolation("V1 and V2 must not be adjacent")
     if 4 * g.weight(v1) >= total:
         raise ContractViolation("expected w(V1) < w(G)/4 at a terminal partition")

@@ -5,6 +5,7 @@ path the package takes.
 """
 
 import random
+from collections import deque
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -139,3 +140,60 @@ def reach_hyperedges(
     return frozenset(
         s for s, touched in hyper.edges if candidate.y_val(s, i) == 0 and touched & reach
     )
+
+
+def max_flow_network(
+    supplies: list[int], demands: list[int], elig: list[list[int]]
+) -> list[list[int]] | None:
+    """Integral transport meeting every demand, or None, by Edmonds-Karp on
+    a generic network: source -> group j (cap supply), group -> class i for
+    eligible i (unbounded), class -> sink (cap demand), with a dict of arc
+    capacities and adjacency lists.  The fast path is bcp.fpt._max_flow,
+    which augments on the groups x classes flow matrix and must return the
+    same flows."""
+    m, k = len(supplies), len(demands)
+    need = sum(demands)
+    if need == 0:
+        return [[0] * k for _ in range(m)]
+    src, snk = m + k, m + k + 1
+    cap: dict[tuple[int, int], int] = {}
+    adj: dict[int, list[int]] = {n: [] for n in range(m + k + 2)}
+
+    def arc(a: int, b: int, c: int) -> None:
+        cap[(a, b)] = c
+        cap[(b, a)] = cap.get((b, a), 0)
+        if b not in adj[a]:
+            adj[a].append(b)
+        if a not in adj[b]:
+            adj[b].append(a)
+
+    for j, s in enumerate(supplies):
+        arc(src, j, s)
+    for j in range(m):
+        for i in elig[j]:
+            arc(j, m + i, need)
+    for i, d in enumerate(demands):
+        arc(m + i, snk, d)
+
+    sent = 0
+    while sent < need:
+        parent = {src: src}
+        queue = deque([src])
+        while queue and snk not in parent:
+            a = queue.popleft()
+            for b in adj[a]:
+                if b not in parent and cap.get((a, b), 0) > 0:
+                    parent[b] = a
+                    queue.append(b)
+        if snk not in parent:
+            return None
+        path = [snk]
+        while path[-1] != src:
+            path.append(parent[path[-1]])
+        path.reverse()
+        push = min(cap[(path[t], path[t + 1])] for t in range(len(path) - 1))
+        for t in range(len(path) - 1):
+            cap[(path[t], path[t + 1])] -= push
+            cap[(path[t + 1], path[t])] = cap.get((path[t + 1], path[t]), 0) + push
+        sent += push
+    return [[cap.get((m + i, j), 0) for i in range(k)] for j in range(m)]

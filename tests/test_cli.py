@@ -87,6 +87,12 @@ class TestExact:
         monkeypatch.setenv("BCP_BUDGET_SECONDS", "0.0")
         assert run_cli(["exact", str(big), "--objective", "minmax", "--k", "4"]) == 3
 
+    @pytest.mark.parametrize("raw", ["nan", "-1", "soon"])
+    def test_bad_budget_env(self, path5, capsys, monkeypatch, raw):
+        monkeypatch.setenv("BCP_BUDGET_SECONDS", raw)
+        assert run_cli(["exact", path5, "--objective", "minmax", "--k", "3"]) == 2
+        assert "BCP_BUDGET_SECONDS" in capsys.readouterr().err
+
     def test_oversize_instance_is_budget_error(self, tmp_path):
         big = tmp_path / "big.bcp"
         big.write_text(write_instance(path_graph(20)))
@@ -220,10 +226,22 @@ class TestBench:
             checked += 1
         assert checked == 2
 
-    def test_bad_suite(self, tmp_path):
+    def test_bad_suite(self, tmp_path, capsys):
+        good = {"family": "random-tree", "n": 8, "k": 3, "algorithm": "minmax-bcpk"}
+        suites = [
+            ({}, "'entries' list"),
+            ([good], "'entries' list"),
+            ({"entries": [good, {**good, "n": "eight"}]}, "suite entry 1:"),
+            ({"entries": [{**good, "k": None}]}, "suite entry 0:"),
+            ({"entries": [{**good, "seed": "x"}]}, "suite entry 0:"),
+            ({"entries": [{**good, "weights": 5}]}, "suite entry 0:"),
+            ({"entries": [good, "tree"]}, "suite entry 1 must be an object"),
+        ]
         bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        assert run_cli(["bench", "--suite", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+        for suite, message in suites:
+            bad.write_text(json.dumps(suite))
+            assert run_cli(["bench", "--suite", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+            assert message in capsys.readouterr().err
 
 
 def test_no_command_is_exit_2():

@@ -1,13 +1,17 @@
 import random
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
 
+import bcp.fpt
 from bcp.errors import BudgetExceeded, ContractViolation, InputError
 from bcp.fpt import (
     FptModel,
     ModelCandidate,
+    _distribute,
+    _max_flow,
     build_hypergraph,
     decompose,
     greedy_vertex_cover,
@@ -20,7 +24,14 @@ from bcp.oracle import enumerate_connected_kpartitions, exact_maxmin
 from bcp.partition import validate
 
 from .conftest import cycle_graph, grid_graph, path_graph, star_graph
-from .reference import check_base, class_size, encode, reach_hyperedges, violated_cuts
+from .reference import (
+    check_base,
+    class_size,
+    encode,
+    max_flow_network,
+    reach_hyperedges,
+    violated_cuts,
+)
 
 
 def fs(*vs):
@@ -233,6 +244,45 @@ class TestSolve:
             solve_fpt_maxmin(path_graph(4), 5)
 
 
+class TestMaxFlow:
+    def test_matches_network_reference(self):
+        """The flow-matrix Edmonds-Karp returns exactly the flows of the
+        generic source/sink network, including None."""
+        rng = random.Random(17)
+        seen = Counter()
+        for _ in range(4000):
+            m, k = rng.randint(0, 8), rng.randint(1, 5)
+            supplies = [rng.choice((0, rng.randint(1, 9))) for _ in range(m)]
+            demands = [rng.choice((0, rng.randint(1, 12))) for _ in range(k)]
+            elig = [rng.sample(range(k), rng.choice((0, rng.randint(1, k)))) for _ in range(m)]
+            got = _max_flow(supplies, demands, elig)
+            assert got == max_flow_network(supplies, demands, elig)
+            seen["feasible" if got is not None else "infeasible"] += 1
+            seen["no demand"] += not any(demands)
+            seen["idle group"] += 0 in supplies
+            seen["ineligible group"] += [] in elig
+        assert min(seen.values()) >= 100, seen
+
+    def test_distribute_solves_each_transport_once(self, monkeypatch):
+        calls = []
+
+        def recording(supplies, demands, elig):
+            calls.append((tuple(supplies), tuple(demands)))
+            return _max_flow(supplies, demands, elig)
+
+        monkeypatch.setattr(bcp.fpt, "_max_flow", recording)
+        # Probes 3 and 4 are feasible, 5 is not: the optimum 4 comes from a
+        # probe that is not the last one.
+        result = _distribute([3, 2, 4], [[0, 1], [1], [1, 2]], [1, 1, 1], [], 5)
+        assert result == (4, [[3, 0, 0], [0, 2, 0], [0, 1, 3]])
+        assert calls == [((3, 2, 4), (2, 2, 2)), ((3, 2, 4), (3, 3, 3)), ((3, 2, 4), (4, 4, 4))]
+
+    def test_distribute_without_feasible_probe(self):
+        # Class 1 is eligible for no group, so every probe fails and the
+        # distribution starts from the zero flow of lo = 0.
+        assert _distribute([2], [[0]], [0, 0], [], 1) == (0, [[2, 0]])
+
+
 def _explicit_cover_instances(rng, count):
     """Random connected graphs built around a small known cover."""
     out = []
@@ -356,8 +406,6 @@ def test_distribution_is_optimal_against_exhaustive_search():
             if check_base(model, candidate):
                 continue
             best = max(best, min(class_size(candidate, i) for i in range(k)))
-        from bcp.fpt import _distribute
-
         sets = dec.neighborhood_sets()
         counts = [len(dec.classes_by_neighborhood[s]) for s in sets]
         elig = [
