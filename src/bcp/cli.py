@@ -258,11 +258,13 @@ def _bench_one(entry: object, index: int) -> BenchRecord:
         if key not in entry:
             raise InputError(f"suite entry {index} misses {key!r}")
     family = entry["family"]
-    try:
-        n, k, seed = int(entry["n"]), int(entry["k"]), int(entry.get("seed", 0))
-        lo, hi = (int(w) for w in entry.get("weights", [1, 1]))
-    except (TypeError, ValueError):
-        raise InputError(f"suite entry {index}: n, k, seed and weights must be integers") from None
+    numbers = [entry["n"], entry["k"], entry.get("seed", 0)]
+    weights = entry.get("weights", [1, 1])
+    if type(weights) is list and len(weights) == 2:
+        numbers += weights
+    if len(numbers) != 5 or any(type(x) is not int for x in numbers):  # bool is not int
+        raise InputError(f"suite entry {index}: n, k, seed and a weights pair must be integers")
+    n, k, seed, lo, hi = numbers
     algorithm = entry["algorithm"]
     instance_id = entry.get("id", f"{family}-n{n}-s{seed}")
     try:

@@ -19,6 +19,7 @@ import random
 from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import islice
 
 from .errors import ParseError
 from .graph import WeightedGraph
@@ -95,9 +96,10 @@ def parse_instance(text: str) -> WeightedGraph:
         raise ParseError("missing problem line")
     if m is not None and m != len(edges):
         raise ParseError(f"problem line promises {m} edges, file has {len(edges)}")
-    missing = [v for v in range(n) if v not in weights]
+    # Ids are distinct and in range, so this scans at most len(weights) + 10 ids.
+    missing = list(islice((v for v in range(n) if v not in weights), 10))
     if missing:
-        raise ParseError(f"missing weights for vertices {missing}")
+        raise ParseError(f"missing weights for {n - len(weights)} vertices, first {missing}")
 
     lcm = 1
     for w in weights.values():

@@ -27,13 +27,7 @@ from .graph import (
     non_cut_vertex,
     split_two,
 )
-from .partition import (
-    Partition,
-    StarCenterCertificate,
-    order3,
-    sort_classes,
-    w_plus,
-)
+from .partition import Partition, StarCenterCertificate, order3, sort_classes, w_plus
 
 
 class Certificate(Enum):
@@ -52,9 +46,12 @@ class BcpkResult:
     iterations: int
 
 
-def _require_ordered3(g: WeightedGraph, p: Partition) -> None:
-    if len(p) != 3 or tuple(p) != sort_classes(g, p):
+def _require_ordered3(g: WeightedGraph, p: Partition) -> list[int]:
+    """Class weights of p, checked to be a 3-partition in `sort_classes` order."""
+    keys = [(g.weight(c), min(c)) for c in p]
+    if len(keys) != 3 or keys != sorted(keys):
         raise ContractViolation("expected a weight-ordered connected 3-partition")
+    return [w for w, _ in keys]
 
 
 def merge(g: WeightedGraph, p: Partition) -> Partition | None:
@@ -62,55 +59,52 @@ def merge(g: WeightedGraph, p: Partition) -> Partition | None:
 
     Requires w(V3) > w(G)/2.  Returns None when the move does not apply:
     V1 and V2 are not adjacent, or |V3| < 2.  Otherwise the result is
-    ordered and its heaviest class is strictly lighter than the old V3.
+    ordered, its heaviest class is strictly lighter than the old V3, and its
+    classes are connected by construction: V1 touches V2, and the halves are
+    the sides of a deleted spanning-tree edge of G[V3].
     """
-    _require_ordered3(g, p)
+    *_, w3 = _require_ordered3(g, p)
     v1, v2, v3 = p
-    if 2 * g.weight(v3) <= g.total_weight:
+    if 2 * w3 <= g.total_weight:
         raise ContractViolation("merge() requires w(V3) > w(G)/2")
     if len(v3) < 2 or not boundary_neighbors(g, v1, v2):
         return None
     a, b = split_two(g, v3)
-    return order3(g, (v1 | v2, a, b))
+    return sort_classes(g, (v1 | v2, a, b))
 
 
 def pull_check(g: WeightedGraph, p: Partition, i: int) -> VertexSet | None:
     """Find a pull-admissible subset of V3 for light class i in {1, 2}.
 
-    Scans boundary vertices v of V3 ascending; around each, keeping only the
-    heaviest component of V3 - v outside gives the lightest candidate set.
-    Returns None only if no pull-admissible set exists at all.
+    Scans the vertices v of V3 adjacent to Vi ascending; the lightest set
+    around v is U = V3 - H for the heaviest component H of V3 - v, and it
+    applies iff w(Vi) < w(H).  Vi | U is connected, since every component
+    of V3 - v touches v, and V3 - U = H.  Returns None only if no
+    pull-admissible set exists at all.
     """
     if i not in (1, 2):
         raise ContractViolation("class index must be 1 or 2")
-    _require_ordered3(g, p)
-    v3 = p[2]
-    vi = p[i - 1]
-    w3 = g.weight(v3)
-    if 2 * w3 <= g.total_weight:
+    weights = _require_ordered3(g, p)
+    if 2 * weights[2] <= g.total_weight:
         raise ContractViolation("pull_check() requires w(V3) > w(G)/2")
-    wi = g.weight(vi)
-    for v in boundary_neighbors(g, vi, v3):
-        rest = v3 - {v}
-        if not rest:
-            continue
-        light = sort_classes(g, components(g, rest))[:-1]
-        if wi + g.weights[v] + sum(g.weight(c) for c in light) < w3:
-            u: set[int] = {v}
-            for c in light:
-                u |= c
-            return frozenset(u)
+    v3 = p[2]
+    if len(v3) < 2:
+        return None
+    for v in boundary_neighbors(g, p[i - 1], v3):
+        heavy = sort_classes(g, components(g, v3 - {v}))[-1]
+        if weights[i - 1] < g.weight(heavy):
+            return v3 - heavy
     return None
 
 
 def pull(g: WeightedGraph, p: Partition, i: int) -> Partition | None:
     """Move the set `pull_check(g, p, i)` finds from V3 into light class i
-    in {1, 2} and reorder, or return None when it finds none.  `order3`
-    checks that all three classes stay connected."""
+    in {1, 2} and reorder, or return None when it finds none.  The three
+    classes stay connected by `pull_check`'s construction of the set."""
     u = pull_check(g, p, i)
     if u is None:
         return None
-    return order3(g, (p[2 - i], p[i - 1] | u, p[2] - u))
+    return sort_classes(g, (p[2 - i], p[i - 1] | u, p[2] - u))
 
 
 def initial_3partition(g: WeightedGraph) -> Partition:
@@ -128,29 +122,31 @@ def _improvement_loop(g: WeightedGraph, p: Partition) -> tuple[Partition, int]:
     """Run merge/pull until w(V3) <= w(G)/2 or neither move applies.
 
     Returns the terminal ordered partition and the iteration count; aborts if
-    the heaviest weight ever fails to strictly decrease.
+    the heaviest weight ever fails to strictly decrease.  The moves build
+    connected classes unchecked; `order3` validates the terminal partition
+    once and raises ContractViolation if a move broke it.
     """
     total = g.total_weight
     iterations = 0
-    while 2 * g.weight(p[2]) > total:
-        before = g.weight(p[2])
+    heaviest = g.weight(p[2])
+    while 2 * heaviest > total:
         moved = merge(g, p) or pull(g, p, 1) or pull(g, p, 2)
         if moved is None:
             break
         p = moved
         iterations += 1
-        if g.weight(p[2]) >= before:
+        before, heaviest = heaviest, g.weight(p[2])
+        if heaviest >= before:
             raise InternalError("heaviest class weight did not decrease")
         if iterations > total + 1:
             raise InternalError("improvement loop exceeded its w(G) bound")
-    return p, iterations
+    return order3(g, p), iterations
 
 
 def minmax_bcp3(g: WeightedGraph) -> Partition:
     """Ordered connected 3-partition with w+ <= (3/2) * optimum, and exactly
     optimal whenever the returned heaviest class weighs more than w(G)/2."""
-    p, _ = _improvement_loop(g, initial_3partition(g))
-    return p
+    return _improvement_loop(g, initial_3partition(g))[0]
 
 
 def star_center_certificate(g: WeightedGraph, p: Partition) -> StarCenterCertificate:
@@ -162,16 +158,16 @@ def star_center_certificate(g: WeightedGraph, p: Partition) -> StarCenterCertifi
     V1.  A structure mismatch means the partition was not terminal (or the
     solver is buggy) and raises ContractViolation.
     """
-    _require_ordered3(g, p)
+    w1, _, w3 = _require_ordered3(g, p)
     v1, v2, v3 = p
     total = g.total_weight
-    if 2 * g.weight(v3) <= total:
+    if 2 * w3 <= total:
         raise ContractViolation("star certificate needs w(V3) > w(G)/2")
     if len(v3) < 2:
         raise ContractViolation("star certificate needs |V3| >= 2")
     if boundary_neighbors(g, v1, v2):
         raise ContractViolation("V1 and V2 must not be adjacent")
-    if 4 * g.weight(v1) >= total:
+    if 4 * w1 >= total:
         raise ContractViolation("expected w(V1) < w(G)/4 at a terminal partition")
     hits1 = boundary_neighbors(g, v1, v3)
     hits2 = boundary_neighbors(g, v2, v3)
@@ -184,7 +180,7 @@ def star_center_certificate(g: WeightedGraph, p: Partition) -> StarCenterCertifi
     if v1 not in comps or v2 not in comps:
         raise ContractViolation("V1 and V2 must be components of G-u")
     for c in comps:
-        if c not in (v1, v2) and g.weight(c) > g.weight(v1):
+        if c not in (v1, v2) and g.weight(c) > w1:
             raise ContractViolation("a stray component outweighs V1")
     if len(comps) == 3 and 4 * g.weights[u] <= total:
         raise ContractViolation("with 3 components the center must weigh > w(G)/4")
@@ -222,10 +218,7 @@ def minmax_bcpk(g: WeightedGraph, k: int) -> BcpkResult:
         ell = star.ell
         if ell >= k - 1:
             t = ell - k + 1
-            core: set[int] = {star.u}
-            for c in star.comps[:t]:
-                core |= c
-            classes = (frozenset(core),) + star.comps[t:]
+            classes = (frozenset({star.u}).union(*star.comps[:t]),) + star.comps[t:]
             return BcpkResult(
                 sort_classes(g, classes), Certificate.STAR_OPTIMAL, star, iterations
             )

@@ -1,12 +1,16 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcp.cli import run_cli
 from bcp.instances import generate, write_instance
 
-from .conftest import path_graph, star_graph
+from .conftest import connected_graphs, path_graph, star_graph
 
 
 @pytest.fixture
@@ -235,6 +239,10 @@ class TestBench:
             ({"entries": [{**good, "k": None}]}, "suite entry 0:"),
             ({"entries": [{**good, "seed": "x"}]}, "suite entry 0:"),
             ({"entries": [{**good, "weights": 5}]}, "suite entry 0:"),
+            ({"entries": [{**good, "n": 8.9}]}, "suite entry 0:"),
+            ({"entries": [{**good, "n": True}]}, "suite entry 0:"),
+            ({"entries": [{**good, "seed": 1.5}]}, "suite entry 0:"),
+            ({"entries": [good, {**good, "weights": "19"}]}, "suite entry 1:"),
             ({"entries": [good, "tree"]}, "suite entry 1 must be an object"),
         ]
         bad = tmp_path / "bad.json"
@@ -246,3 +254,43 @@ class TestBench:
 
 def test_no_command_is_exit_2():
     assert run_cli([]) == 2
+
+
+_TOKENS = st.sampled_from(
+    ["0", "1", "2", "3", "5", "-1", "12", "1/2", "1/0", "2.5", "007", "bcp", "x", ""]
+)
+_LINES = st.one_of(
+    st.builds(
+        lambda kind, rest: " ".join([kind, *rest]),
+        st.sampled_from(["p bcp", "p", "v", "e", "c", "q"]),
+        st.lists(_TOKENS, max_size=3),
+    ),
+    st.text(max_size=10),
+)
+
+
+@st.composite
+def instance_texts(draw):
+    """A valid instance's text with a few lines deleted or inserted."""
+    lines = write_instance(draw(connected_graphs(min_n=1, max_n=7))).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        if at < len(lines) and draw(st.booleans()):
+            del lines[at]
+        else:
+            lines.insert(at, draw(_LINES))
+    return "\n".join(lines)
+
+
+@given(
+    instance_texts(),
+    st.lists(st.lists(_TOKENS, max_size=4).map(" ".join), max_size=5).map("\n".join),
+)
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_files_exit_0_or_2(instance, partition):
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, part = Path(tmp, "g.bcp"), Path(tmp, "p.txt")
+        inst.write_text(instance)
+        part.write_text(partition)
+        assert run_cli(["solve", str(inst), "--k", "3"]) in (0, 2)
+        assert run_cli(["validate", str(inst), str(part)]) in (0, 2)

@@ -1,10 +1,11 @@
 import pytest
+from hypothesis import given, settings
 
 from bcp.errors import ParseError
 from bcp.instances import FAMILIES, generate, parse_instance, write_instance
 
 from . import reference
-from .conftest import star_graph
+from .conftest import connected_graphs, star_graph
 
 
 P3_TEXT = """c tiny path
@@ -107,6 +108,11 @@ class TestRoundTrip:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_generated_families_at_scale(self, family):
         g = generate(family, 2000, (1, 50), seed=5)
+        assert parse_instance(write_instance(g)) == g
+
+    @given(connected_graphs(min_n=1, max_n=12, max_weight=10**6))
+    @settings(max_examples=60)
+    def test_random_graphs(self, g):
         assert parse_instance(write_instance(g)) == g
 
 

@@ -18,7 +18,7 @@ from bcp.minmax import (
     star_center_certificate,
 )
 from bcp.oracle import enumerate_connected_kpartitions, exact_minmax
-from bcp.partition import order3, validate, w_plus
+from bcp.partition import order3, sort_classes, validate, w_plus
 
 from .conftest import (
     connected_graphs,
@@ -287,9 +287,19 @@ def test_terminal_heavy_partition_is_optimal(g):
         assert w_plus(g, p) == exact_minmax(g, 3)[0]
 
 
+def check_move(g, p, q):
+    """A move that applies builds a valid ordered 3-partition whose heaviest
+    class is strictly lighter than p's; the moves themselves never validate."""
+    if q is not None:
+        assert validate(g, q, 3) == []
+        assert q == sort_classes(g, q)
+        assert g.weight(q[2]) < g.weight(p[2])
+    return q is not None
+
+
 def test_pull_check_complete_against_oracle():
     rng = random.Random(7)
-    checked = 0
+    checked = merges = pulls = 0
     while checked < 120:
         n = rng.randint(4, 7)
         edges = [(rng.randrange(v), v) for v in range(1, n)]
@@ -307,7 +317,9 @@ def test_pull_check_complete_against_oracle():
             p = order3(g, p)
             if 2 * g.weight(p[2]) <= g.total_weight:
                 continue
+            merges += check_move(g, p, merge(g, p))
             for i in (1, 2):
+                pulls += check_move(g, p, pull(g, p, i))
                 fast = pull_check(g, p, i)
                 slow = oracle_pull_admissible(g, p, i)
                 assert (fast is None) == (slow is None)
@@ -317,3 +329,14 @@ def test_pull_check_complete_against_oracle():
                     assert is_connected(g, p[2] - fast)
                     assert g.weight(p[i - 1] | fast) < g.weight(p[2])
                 checked += 1
+    assert merges and pulls
+
+
+def test_broken_move_caught_once_per_solve(monkeypatch):
+    """A move that breaks connectivity still raises, from the loop's one
+    `order3` check on its terminal partition."""
+    g = path_graph(5)
+    assert merge(g, initial_3partition(g)) is not None
+    monkeypatch.setattr("bcp.minmax.split_two", lambda g, s: (fs(0, 2), fs(1)))
+    with pytest.raises(ContractViolation, match="disconnected"):
+        minmax_bcpk(g, 3)
