@@ -25,7 +25,7 @@ from typing import Sequence
 from .errors import BudgetExceeded, ContractViolation, InputError, ParseError
 from .fpt import solve_fpt_maxmin
 from .graph import WeightedGraph
-from .instances import FAMILIES, generate, parse_instance, write_instance
+from .instances import FAMILIES, generate, parse_instance, parse_rational, write_instance
 from .minmax import Certificate, minmax_bcpk
 from .oracle import exact_maxmin, exact_minmax
 from .partition import (
@@ -81,7 +81,7 @@ def _budget_seconds() -> float | None:
 
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"cannot parse {text!r} as a rational") from None
 

@@ -10,14 +10,18 @@ of the component hypergraph H_Z is added to a growing pool, and the search
 continues.  The pool never excludes the encoding of a real connected
 partition, so depth-first branch-and-bound over the x assignment plus an
 exact distribution of the y counts solves the problem to optimality.
+
+Where the paper hands each cover assignment to an ILP in few variables
+(Lenstra), the y counts here come from a transport max-flow searched only
+above the best value so far, branching on the first binding cut (a cover)
+it leaves unmet by forcing one unit from each of the cut's groups in turn.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable, Mapping
 
 from .errors import BudgetExceeded, ContractViolation, InputError, InternalError
@@ -326,6 +330,51 @@ def _check_deadline(deadline: float | None) -> None:
         raise BudgetExceeded("max-min solve time budget exceeded")
 
 
+def _tightest_covers(covers: list[tuple[int, list[int]]]) -> list[tuple[int, list[int]]]:
+    """The covers in first-seen order, without repeats and without any cover
+    whose group set strictly contains another's for the same class: one unit
+    meeting the smaller set meets the larger."""
+    unique = list(dict.fromkeys((i, frozenset(groups)) for i, groups in covers))
+    return [
+        (i, sorted(groups))
+        for i, groups in unique
+        if not any(c == i and other < groups for c, other in unique)
+    ]
+
+
+def _best_transport(
+    supplies: list[int],
+    bases: list[int],
+    elig: list[list[int]],
+    floor: int | None,
+    cap_value: int,
+) -> tuple[int, list[list[int]]] | None:
+    """Largest t in (floor, cap_value] for which a transport lifts every class
+    i to t units beyond bases[i], with the flow of the last feasible probe,
+    which is the flow at t; None when the first probe, floor + 1, fails.
+    Without a floor, t = 0 needs no flow and the search is over (0,
+    cap_value]."""
+
+    def probe(t: int) -> list[list[int]] | None:
+        return _max_flow(supplies, [max(0, t - b) for b in bases], elig)
+
+    if floor is None:
+        lo, flow = 0, [[0] * len(bases) for _ in supplies]
+    elif floor < cap_value and (flow := probe(floor + 1)) is not None:
+        lo = floor + 1
+    else:
+        return None
+    hi = cap_value
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        found = probe(mid)
+        if found is not None:
+            lo, flow = mid, found
+        else:
+            hi = mid - 1
+    return lo, flow
+
+
 def _distribute(
     counts: list[int],
     elig: list[list[int]],
@@ -333,60 +382,62 @@ def _distribute(
     covers: list[tuple[int, list[int]]],
     cap_value: int,
     deadline: float | None = None,
+    floor: int | None = None,
 ) -> tuple[int, list[list[int]]] | None:
     """Exact max-min completion of the stable-set counts for a fixed cover
-    assignment.
+    assignment, when it beats floor.
 
     covers lists (class, eligible group indices) pairs from the active pool
-    cuts, each requiring at least one unit; every way of choosing a provider
-    per cover is tried, and for each the best achievable minimum class size
-    is found by binary search over a transport feasibility problem.  Returns
-    the best (value, allocation) or None when the covers are unsatisfiable;
-    raises BudgetExceeded once time.monotonic() passes the deadline.
+    cuts, each requiring at least one unit.  Branch-and-bound: a node solves
+    the transport without the covers, its forced units taken from supply and
+    added to the bases, by binary search over (floor, cap_value]; that value
+    bounds the node's subtree.  If the flow plus the forced units meets every
+    cover it is the node's answer; otherwise the node branches on the first
+    unmet cover, forcing one unit from each of its groups with supply left
+    in ascending order, raising the floor to the best value found, and stops
+    once a branch reaches the bound.  Returns the best (value, allocation),
+    leftover units handed to the smallest eligible classes, or None when
+    nothing strictly beats floor (without a floor, when the covers are
+    unsatisfiable); raises BudgetExceeded once time.monotonic() passes the
+    deadline.
     """
     k = len(bases)
     m = len(counts)
-    option_lists = []
-    for class_index, groups in covers:
-        opts = [(j, class_index) for j in groups]
-        if not opts:
-            return None
-        option_lists.append(opts)
+    covers = _tightest_covers(covers)
+    forced = [[0] * k for _ in range(m)]
 
-    seen: set[frozenset[tuple[int, int]]] = set()
-    best: tuple[int, list[list[int]]] | None = None
-    for combo in product(*option_lists) if option_lists else [()]:
+    def node(floor: int | None) -> tuple[int, list[list[int]]] | None:
         _check_deadline(deadline)
-        forced = frozenset(combo)
-        if forced in seen:
-            continue
-        seen.add(forced)
-        per_group = Counter(j for j, _ in forced)
-        if any(per_group[j] > counts[j] for j in per_group):
-            continue
-        base_eff = list(bases)
-        for _, i in forced:
-            base_eff[i] += 1
-        supplies = [counts[j] - per_group[j] for j in range(m)]
+        supplies = [counts[j] - sum(forced[j]) for j in range(m)]
+        base_eff = [bases[i] + sum(row[i] for row in forced) for i in range(k)]
+        relaxed = _best_transport(supplies, base_eff, elig, floor, cap_value)
+        if relaxed is None:
+            return None
+        bound, flow = relaxed
+        alloc = [[f + u for f, u in zip(fs, us)] for fs, us in zip(forced, flow)]
+        unmet = next(
+            ((i, groups) for i, groups in covers if not any(alloc[j][i] for j in groups)),
+            None,
+        )
+        if unmet is None:
+            return bound, alloc
+        i, groups = unmet
+        best = None
+        for j in groups:
+            if not supplies[j]:
+                continue
+            forced[j][i] += 1
+            found = node(floor if best is None else best[0])
+            forced[j][i] -= 1
+            if found is not None:
+                best = found
+                if best[0] == bound:
+                    break
+        return best
 
-        # The last feasible probe set lo, so its flow is the flow at lo.
-        lo, hi = 0, cap_value
-        alloc = [[0] * k for _ in range(m)]
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            flow = _max_flow(supplies, [max(0, mid - b) for b in base_eff], elig)
-            if flow is not None:
-                lo, alloc = mid, flow
-            else:
-                hi = mid - 1
-        if best is not None and lo <= best[0]:
-            continue
-        for j, i in forced:
-            alloc[j][i] += 1
-        best = (lo, alloc)
+    best = node(floor)
     if best is None:
         return None
-
     value, alloc = best
     sizes = [bases[i] + sum(alloc[j][i] for j in range(m)) for i in range(k)]
     for j in range(m):
@@ -493,8 +544,8 @@ def solve_fpt_maxmin(
                 covers.append((i, groups))
             if not feasible:
                 return
-            res = _distribute(counts, elig, bases, covers, cap_value, deadline)
-            if res is None or res[0] <= best_value:
+            res = _distribute(counts, elig, bases, covers, cap_value, deadline, best_value)
+            if res is None:
                 return
             value, alloc = res
             candidate = ModelCandidate(
@@ -519,13 +570,12 @@ def solve_fpt_maxmin(
             _check_deadline(deadline)
         if best_value >= cap_value:
             return
-        if pos == len(xs):
-            if used == k:
-                leaf()
-            return
         if used + (len(xs) - pos) < k:
             return
         if used and upper_bound(pos) <= best_value:
+            return
+        if pos == len(xs):
+            leaf()
             return
         bit = 1 << pos
         for c in range(min(used + 1, k)):

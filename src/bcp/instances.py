@@ -27,10 +27,31 @@ from .graph import WeightedGraph
 FAMILIES = ("random-tree", "tree-plus-edges", "spider", "grid", "star")
 
 
+# Fraction expands a decimal exponent in full ("1e3000000" is a
+# 3,000,001-digit integer) and Python refuses to print an int of more than
+# 4,300 digits, so a rational read from input, and the common denominator
+# of an instance's weights, are held to this many digits.
+MAX_DIGITS = 1000
+_DIGITS_CAP = 10**MAX_DIGITS
+
+
+def parse_rational(token: str) -> Fraction:
+    """Fraction(token), also raising ValueError when the token could expand
+    to a numerator or denominator of more than MAX_DIGITS digits; the check
+    reads the exponent without expanding it."""
+    head, _, exponent = token.lower().partition("e")
+    if len(head) + (abs(int(exponent)) if exponent else 0) > MAX_DIGITS:
+        raise ValueError(f"{token!r} has more than {MAX_DIGITS} digits")
+    return Fraction(token)
+
+
 def _parse_weight(token: str, line_no: int) -> int | Fraction:
     try:
         # Plain digit strings, by far the most common, skip Fraction's regex.
-        value = int(token) if token.isdecimal() else Fraction(token)
+        if token.isdecimal() and len(token) <= MAX_DIGITS:
+            value = int(token)
+        else:
+            value = parse_rational(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad weight {token!r}", line_no) from None
     if value <= 0:
@@ -102,8 +123,10 @@ def parse_instance(text: str) -> WeightedGraph:
         raise ParseError(f"missing weights for {n - len(weights)} vertices, first {missing}")
 
     lcm = 1
-    for w in weights.values():
-        lcm = lcm * w.denominator // math.gcd(lcm, w.denominator)
+    for d in {w.denominator for w in weights.values()}:
+        lcm = lcm * d // math.gcd(lcm, d)
+        if lcm >= _DIGITS_CAP:
+            raise ParseError(f"weight denominators need more than {MAX_DIGITS} digits")
     cleared = [int(weights[v] * lcm) for v in range(n)]
     try:
         return WeightedGraph.from_edges(n, edges, cleared)

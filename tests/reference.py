@@ -5,8 +5,8 @@ path the package takes.
 """
 
 import random
-from collections import deque
-from itertools import combinations
+from collections import Counter, deque
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from bcp.errors import BudgetExceeded, ContractViolation
@@ -15,6 +15,7 @@ from bcp.fpt import (
     FptModel,
     ModelCandidate,
     VertexCoverDecomposition,
+    _max_flow,
     build_hypergraph,
 )
 from bcp.graph import VertexSet, WeightedGraph, is_connected
@@ -197,3 +198,68 @@ def max_flow_network(
             cap[(path[t + 1], path[t])] = cap.get((path[t + 1], path[t]), 0) + push
         sent += push
     return [[cap.get((m + i, j), 0) for i in range(k)] for j in range(m)]
+
+
+def distribute_product(
+    counts: list[int],
+    elig: list[list[int]],
+    bases: list[int],
+    covers: list[tuple[int, list[int]]],
+    cap_value: int,
+) -> tuple[int, list[list[int]]] | None:
+    """Exact max-min completion of the stable-set counts under covers, by
+    trying every way of choosing one provider group per cover and binary
+    searching the transport for each.  Returns the best (value, allocation)
+    or None when the covers are unsatisfiable.  The fast path is
+    bcp.fpt._distribute, which branches on one unmet cover at a time."""
+    k = len(bases)
+    m = len(counts)
+    option_lists = []
+    for class_index, groups in covers:
+        opts = [(j, class_index) for j in groups]
+        if not opts:
+            return None
+        option_lists.append(opts)
+
+    seen: set[frozenset[tuple[int, int]]] = set()
+    best: tuple[int, list[list[int]]] | None = None
+    for combo in product(*option_lists) if option_lists else [()]:
+        forced = frozenset(combo)
+        if forced in seen:
+            continue
+        seen.add(forced)
+        per_group = Counter(j for j, _ in forced)
+        if any(per_group[j] > counts[j] for j in per_group):
+            continue
+        base_eff = list(bases)
+        for _, i in forced:
+            base_eff[i] += 1
+        supplies = [counts[j] - per_group[j] for j in range(m)]
+
+        # The last feasible probe set lo, so its flow is the flow at lo.
+        lo, hi = 0, cap_value
+        alloc = [[0] * k for _ in range(m)]
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            flow = _max_flow(supplies, [max(0, mid - b) for b in base_eff], elig)
+            if flow is not None:
+                lo, alloc = mid, flow
+            else:
+                hi = mid - 1
+        if best is not None and lo <= best[0]:
+            continue
+        for j, i in forced:
+            alloc[j][i] += 1
+        best = (lo, alloc)
+    if best is None:
+        return None
+
+    value, alloc = best
+    sizes = [bases[i] + sum(alloc[j][i] for j in range(m)) for i in range(k)]
+    for j in range(m):
+        left = counts[j] - sum(alloc[j])
+        for _ in range(left):
+            i = min(elig[j], key=lambda i: (sizes[i], i))
+            alloc[j][i] += 1
+            sizes[i] += 1
+    return value, alloc

@@ -256,8 +256,17 @@ def test_no_command_is_exit_2():
     assert run_cli([]) == 2
 
 
-_TOKENS = st.sampled_from(
-    ["0", "1", "2", "3", "5", "-1", "12", "1/2", "1/0", "2.5", "007", "bcp", "x", ""]
+_EXPONENTS = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["1", "2.5", "-1", "1/2", ""]),
+    st.sampled_from(["e", "E"]),
+    st.one_of(st.integers(-5, 5), st.integers(-(10**7), 10**7)),
+)
+_TOKENS = st.one_of(
+    st.sampled_from(
+        ["0", "1", "2", "3", "5", "-1", "12", "1/2", "1/0", "2.5", "007", "bcp", "x", ""]
+    ),
+    _EXPONENTS,
 )
 _LINES = st.one_of(
     st.builds(
@@ -294,3 +303,16 @@ def test_fuzzed_files_exit_0_or_2(instance, partition):
         part.write_text(partition)
         assert run_cli(["solve", str(inst), "--k", "3"]) in (0, 2)
         assert run_cli(["validate", str(inst), str(part)]) in (0, 2)
+
+
+_HUGE = st.sampled_from(["1e5000", "1e-100000", "1e999", "1e-999", "3e-1000", "9" * 1001])
+
+
+@given(st.one_of(_TOKENS, _HUGE), st.one_of(_TOKENS, _HUGE))
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_weight_and_epsilon_exit_0_or_2(weight, epsilon):
+    with tempfile.TemporaryDirectory() as tmp:
+        inst = Path(tmp, "g.bcp")
+        inst.write_text(f"p bcp 4 3\nv 0 {weight}\nv 1 1\nv 2 3\nv 3 1\ne 0 1\ne 1 2\ne 2 3\n")
+        assert run_cli(["solve", str(inst), "--k", "3"]) in (0, 2)
+        assert run_cli(["solve", str(inst), "--k", "3", "--epsilon", epsilon]) in (0, 2)

@@ -27,6 +27,7 @@ from .conftest import cycle_graph, grid_graph, path_graph, star_graph
 from .reference import (
     check_base,
     class_size,
+    distribute_product,
     encode,
     max_flow_network,
     reach_hyperedges,
@@ -36,6 +37,12 @@ from .reference import (
 
 def fs(*vs):
     return frozenset(vs)
+
+
+def ladder(m):
+    """The 2 x m grid and one side of its bipartition as the cover."""
+    cover = [r * m + c for r in range(2) for c in range(m) if (r + c) % 2 == 1]
+    return grid_graph(2, m), cover
 
 
 def hub_graph():
@@ -228,14 +235,22 @@ class TestSolve:
         assert solve_fpt_maxmin(g, 2, [1, 2]).value == 2
 
     def test_budget_honoured_inside_distribution(self):
-        # Ladder 2x10 at k=4 spends its time inside _distribute, between two
-        # of the search's every-256-nodes deadline checks.
-        g = grid_graph(2, 10)
-        cover = [r * 10 + c for r in range(2) for c in range(10) if (r + c) % 2 == 1]
+        # Ladder 2x14 at k=4 spends its time inside _distribute, between two
+        # of the search's every-256-nodes deadline checks, and runs well
+        # past 10 s unbudgeted.
+        g, cover = ladder(14)
         start = time.monotonic()
         with pytest.raises(BudgetExceeded):
             solve_fpt_maxmin(g, 4, cover, max_seconds=0.5)
         assert time.monotonic() - start < 2.0
+
+    @pytest.mark.parametrize("m, k", [(10, 4), (12, 3)])
+    def test_ladder_reaches_cap(self, m, k):
+        # Both once ran past 20 s inside _distribute; the optimum is n // k.
+        g, cover = ladder(m)
+        result = solve_fpt_maxmin(g, k, cover, max_seconds=10)
+        assert result.value == g.n // k
+        assert validate(g, result.classes, k) == []
 
     def test_k_out_of_range(self):
         with pytest.raises(InputError):
@@ -281,6 +296,61 @@ class TestMaxFlow:
         # Class 1 is eligible for no group, so every probe fails and the
         # distribution starts from the zero flow of lo = 0.
         assert _distribute([2], [[0]], [0, 0], [], 1) == (0, [[2, 0]])
+
+
+class TestDistribute:
+    def test_deadline_checked_with_covers(self):
+        with pytest.raises(BudgetExceeded):
+            _distribute([2, 1], [[0, 1], [1]], [1, 1], [(1, [0, 1])], 2, time.monotonic() - 1)
+
+    def test_floor_is_a_strict_lower_bound(self):
+        # The optimum is 4 (see test_distribute_solves_each_transport_once).
+        counts, elig, bases = [3, 2, 4], [[0, 1], [1], [1, 2]], [1, 1, 1]
+        assert _distribute(counts, elig, bases, [], 5, floor=4) is None
+        assert _distribute(counts, elig, bases, [], 5, floor=3)[0] == 4
+
+    def test_matches_product_reference(self):
+        """Branching on the first unmet cover finds the same optimum as
+        trying every choice of provider per cover, and its allocation is a
+        valid one of that value."""
+        rng = random.Random(0xD15)
+        seen = Counter(dict.fromkeys(["unsatisfiable", "covers", "implied cover", "thin group"], 0))
+        for _ in range(1500):
+            m, k = rng.randint(1, 5), rng.randint(1, 4)
+            counts = [rng.choice((0, 1, rng.randint(2, 6))) for _ in range(m)]
+            elig = [sorted(rng.sample(range(k), rng.randint(1, k))) for _ in range(m)]
+            bases = [rng.randint(0, 3) for _ in range(k)]
+            covers = []
+            for _ in range(rng.randint(0, 4)):
+                i = rng.randrange(k)
+                providers = [j for j in range(m) if i in elig[j]]
+                size = rng.randint(min(1, len(providers)), len(providers))
+                covers.append((i, rng.sample(providers, size)))
+                if covers[-1][1] and rng.random() < 0.3:
+                    # A repeat, or a superset that the first one implies.
+                    covers.append((i, sorted(set(covers[-1][1]) | set(rng.sample(providers, 1)))))
+            rng.shuffle(covers)
+            cap = (sum(counts) + sum(bases)) // k
+            expected = distribute_product(counts, elig, bases, covers, cap)
+            got = _distribute(counts, elig, bases, covers, cap)
+            if expected is None:
+                assert got is None
+                seen["unsatisfiable"] += 1
+                continue
+            value, alloc = got
+            assert value == expected[0]
+            for j in range(m):
+                assert sum(alloc[j]) == counts[j]
+                assert all(alloc[j][i] == 0 for i in range(k) if i not in elig[j])
+            assert all(any(alloc[j][i] for j in groups) for i, groups in covers)
+            assert min(bases[i] + sum(row[i] for row in alloc) for i in range(k)) == value
+            floor = rng.randint(0, cap)
+            beat = _distribute(counts, elig, bases, covers, cap, floor=floor)
+            assert (beat[0] if beat else None) == (value if value > floor else None)
+            seen["covers"] += bool(covers)
+            seen["implied cover"] += len(covers) > len(bcp.fpt._tightest_covers(covers))
+            seen["thin group"] += 0 in counts or 1 in counts
+        assert min(seen.values()) >= 100, seen
 
 
 def _explicit_cover_instances(rng, count):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -90,6 +92,25 @@ class TestParse:
         with pytest.raises(ParseError, match=message) as exc:
             parse_instance(f"p bcp 2 1\nv 0 {token}\nv 1 1\ne 0 1\n")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "token", ["1e1001", "1e-1000", "1e3000000", pytest.param("2" * 1001, id="1001-digits")]
+    )
+    def test_oversized_weights_rejected_unexpanded(self, token):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="bad weight") as exc:
+            parse_instance(f"p bcp 2 1\nv 0 {token}\nv 1 1\ne 0 1\n")
+        assert exc.value.line == 2
+        assert time.perf_counter() - start < 0.05
+
+    def test_oversized_common_denominator_rejected(self):
+        weights = "".join(f"v {v} 1/{10**600 + v}\n" for v in range(2))
+        with pytest.raises(ParseError, match="denominators"):
+            parse_instance(f"p bcp 2 1\n{weights}e 0 1\n")
+
+    def test_largest_weight_accepted(self):
+        g = parse_instance("p bcp 2 1\nv 0 1e999\nv 1 5e998\ne 0 1\n")
+        assert g.weights == (10**999, 5 * 10**998)
 
 
 class TestRoundTrip:
