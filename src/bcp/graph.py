@@ -8,7 +8,7 @@ they never mutate their inputs, so values can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import ContractViolation, InputError
 
@@ -85,10 +85,83 @@ def components(g: WeightedGraph, s: VertexSet) -> list[VertexSet]:
     out: list[VertexSet] = []
     for v in sorted(s):
         if v in remaining:
-            comp = frozenset(_dfs_tree(g, frozenset(remaining), v)[0])
+            # Earlier components have no edge into this one, so searching
+            # the shrinking rest finds the same vertices as searching s.
+            comp = frozenset(_dfs_tree(g, remaining, v)[0])
             out.append(comp)
             remaining -= comp
     return out
+
+
+def heaviest_piece(
+    g: WeightedGraph, s: VertexSet, v: int, weight: int
+) -> tuple[VertexSet, int, VertexSet]:
+    """The heaviest component H of G[s - v], its weight, and U = s - H.
+
+    G[s] must be connected, contain v and another vertex, and weigh
+    `weight`.  H is `sort_classes(g, components(g, s - {v}))[-1]`: the
+    heaviest, ties to the larger smallest id.  Every component touches v,
+    so one search starts from each neighbour of v in s; each search takes
+    one vertex per round, two that meet merge, and a search that runs dry
+    has found a whole component.  Once at most one search still grows, the
+    rest of s - v is one component and is not walked.  So the searches take
+    at most deg(v) times as many steps as the largest finished piece has
+    vertices, however large s is (Even & Shiloach 1981).
+    """
+    adjacency, weights = g.adjacency, g.weights
+    owner = {v: -1}  # claimed vertex -> index of the search that claimed it
+    root: list[int] = []  # union-find over searches
+    stacks: list[list[int]] = []
+    found: list[list[int]] = []
+    found_weight: list[int] = []
+    for x in adjacency[v]:
+        if x in s:
+            owner[x] = len(root)
+            root.append(len(root))
+            stacks.append([x])
+            found.append([x])
+            found_weight.append(weights[x])
+    active = list(range(len(root)))
+    if not active:
+        raise ContractViolation("heaviest_piece() requires a connected set of >= 2 vertices")
+    finished: list[tuple[int, int, list[int]]] = []  # (weight, smallest id, members)
+    while len(active) > 1:
+        growing = []
+        for a in active:
+            if root[a] != a:
+                continue  # merged into another search this round
+            stack = stacks[a]
+            for y in adjacency[stack.pop()]:
+                b = owner.get(y)
+                if b is None:
+                    if y in s:
+                        owner[y] = a
+                        stack.append(y)
+                        found[a].append(y)
+                        found_weight[a] += weights[y]
+                    continue
+                while b >= 0 and root[b] != b:
+                    b = root[b]
+                if b >= 0 and b != a:
+                    root[b] = a
+                    stack += stacks[b]
+                    found[a] += found[b]
+                    found_weight[a] += found_weight[b]
+            if stack:
+                growing.append(a)
+            else:
+                finished.append((found_weight[a], min(found[a]), found[a]))
+        active = [a for a in growing if root[a] == a]
+
+    best = max(finished, default=(0, -1, []))
+    if active:
+        cut = frozenset({v}.union(*(members for _, _, members in finished)))
+        rest_weight = weight - weights[v] - sum(w for w, _, _ in finished)
+        # Only a tie needs the rest's smallest id, so only a tie looks it up.
+        if rest_weight > best[0] or (rest_weight == best[0] and min(s - cut) > best[1]):
+            return s - cut, rest_weight, cut
+    heavy = frozenset(best[2])
+    return heavy, best[0], s - heavy
 
 
 def is_connected(g: WeightedGraph, s: VertexSet) -> bool:
@@ -99,7 +172,9 @@ def is_connected(g: WeightedGraph, s: VertexSet) -> bool:
     return len(_dfs_tree(g, s, root)[0]) == len(s)
 
 
-def _dfs_tree(g: WeightedGraph, s: VertexSet, root: int) -> tuple[list[int], dict[int, int]]:
+def _dfs_tree(
+    g: WeightedGraph, s: AbstractSet[int], root: int
+) -> tuple[list[int], dict[int, int]]:
     """Iterative DFS preorder inside the induced subgraph G[s], ascending
     neighbor ids explored first, plus the parent map of its spanning tree."""
     parent: dict[int, int] = {root: root}

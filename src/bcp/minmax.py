@@ -10,6 +10,16 @@ components around the star center.
 
 Each move strictly decreases the heaviest class weight, so with integer
 weights the loop runs at most w(G) iterations.
+
+A move pays only for what moves.  The loop carries the three class weights
+beside the partition, so no move sums a class it does not change.  A pull
+tries the vertices v of V3 next to Vi; for each it searches the pieces of
+V3 - v from all of v's neighbours at once and stops when one search is
+left (`graph.heaviest_piece`), so it walks the pieces cut off V3 and about
+as much of the heaviest, not all of V3.  Set operations in C (V3 - U, and
+the smallest id of a class on weight ties) and listing Vi's boundary with
+V3 still scan whole classes.  A merge splits V3 along a spanning tree of
+G[V3], so it walks all of V3, but merges are rare.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from .graph import (
     _dfs_tree,
     boundary_neighbors,
     components,
+    heaviest_piece,
     non_cut_vertex,
     split_two,
 )
@@ -46,65 +57,93 @@ class BcpkResult:
     iterations: int
 
 
-def _require_ordered3(g: WeightedGraph, p: Partition) -> list[int]:
+Weights = tuple[int, int, int]
+
+
+def _require_ordered3(g: WeightedGraph, p: Partition) -> Weights:
     """Class weights of p, checked to be a 3-partition in `sort_classes` order."""
     keys = [(g.weight(c), min(c)) for c in p]
     if len(keys) != 3 or keys != sorted(keys):
         raise ContractViolation("expected a weight-ordered connected 3-partition")
-    return [w for w, _ in keys]
+    return keys[0][0], keys[1][0], keys[2][0]
 
 
-def merge(g: WeightedGraph, p: Partition) -> Partition | None:
+def _ordered(classes: Partition, weights: Weights) -> tuple[Partition, Weights]:
+    """Three classes and their weights in `sort_classes` order; a class's
+    smallest id is looked up only to break a weight tie."""
+    tied = len(set(weights)) < 3
+    i, j, k = sorted(range(3), key=lambda c: (weights[c], min(classes[c]) if tied else 0))
+    return (classes[i], classes[j], classes[k]), (weights[i], weights[j], weights[k])
+
+
+def merge(
+    g: WeightedGraph, p: Partition, weights: Weights | None = None
+) -> tuple[Partition, Weights] | None:
     """Fuse V1 with V2 and split V3 into two connected halves.
 
-    Requires w(V3) > w(G)/2.  Returns None when the move does not apply:
-    V1 and V2 are not adjacent, or |V3| < 2.  Otherwise the result is
-    ordered, its heaviest class is strictly lighter than the old V3, and its
+    `weights` are p's class weights as the loop carries them; without
+    them they are summed and p's order checked.  Requires w(V3) > w(G)/2.
+    Returns None when the move does not apply: V1 and V2 are not adjacent,
+    or |V3| < 2.  Otherwise the result is the ordered partition and its
+    weights; its heaviest class is strictly lighter than the old V3, and its
     classes are connected by construction: V1 touches V2, and the halves are
     the sides of a deleted spanning-tree edge of G[V3].
     """
-    *_, w3 = _require_ordered3(g, p)
+    w1, w2, w3 = weights or _require_ordered3(g, p)
     v1, v2, v3 = p
     if 2 * w3 <= g.total_weight:
         raise ContractViolation("merge() requires w(V3) > w(G)/2")
     if len(v3) < 2 or not boundary_neighbors(g, v1, v2):
         return None
     a, b = split_two(g, v3)
-    return sort_classes(g, (v1 | v2, a, b))
+    wb = g.weight(b)
+    return _ordered((v1 | v2, a, b), (w1 + w2, w3 - wb, wb))
 
 
-def pull_check(g: WeightedGraph, p: Partition, i: int) -> VertexSet | None:
-    """Find a pull-admissible subset of V3 for light class i in {1, 2}.
+def pull_check(
+    g: WeightedGraph, p: Partition, i: int, weights: Weights | None = None
+) -> tuple[VertexSet, int, VertexSet] | None:
+    """Find a pull-admissible subset U of V3 for light class i in {1, 2},
+    its weight, and V3 - U.
 
-    Scans the vertices v of V3 adjacent to Vi ascending; the lightest set
-    around v is U = V3 - H for the heaviest component H of V3 - v, and it
-    applies iff w(Vi) < w(H).  Vi | U is connected, since every component
-    of V3 - v touches v, and V3 - U = H.  Returns None only if no
-    pull-admissible set exists at all.
+    `weights` are as for `merge`.  Scans the vertices v of V3 adjacent to Vi
+    ascending; the lightest set around v is U = V3 - H for the heaviest
+    component H of V3 - v, and it applies iff w(Vi) < w(H).  Vi | U is
+    connected, since every component of V3 - v touches v, and V3 - U = H.
+    Returns None only if no pull-admissible set exists at all.
     """
     if i not in (1, 2):
         raise ContractViolation("class index must be 1 or 2")
-    weights = _require_ordered3(g, p)
-    if 2 * weights[2] <= g.total_weight:
+    weights = weights or _require_ordered3(g, p)
+    w3 = weights[2]
+    if 2 * w3 <= g.total_weight:
         raise ContractViolation("pull_check() requires w(V3) > w(G)/2")
     v3 = p[2]
     if len(v3) < 2:
         return None
     for v in boundary_neighbors(g, p[i - 1], v3):
-        heavy = sort_classes(g, components(g, v3 - {v}))[-1]
-        if weights[i - 1] < g.weight(heavy):
-            return v3 - heavy
+        heavy, heavy_weight, u = heaviest_piece(g, v3, v, w3)
+        if weights[i - 1] < heavy_weight:
+            return u, w3 - heavy_weight, heavy
     return None
 
 
-def pull(g: WeightedGraph, p: Partition, i: int) -> Partition | None:
-    """Move the set `pull_check(g, p, i)` finds from V3 into light class i
-    in {1, 2} and reorder, or return None when it finds none.  The three
-    classes stay connected by `pull_check`'s construction of the set."""
-    u = pull_check(g, p, i)
-    if u is None:
+def pull(
+    g: WeightedGraph, p: Partition, i: int, weights: Weights | None = None
+) -> tuple[Partition, Weights] | None:
+    """Move the set `pull_check(g, p, i, weights)` finds from V3 into light
+    class i in {1, 2}, and return the reordered partition and its weights,
+    or None when it finds none.  The three classes stay connected by
+    `pull_check`'s construction of the set."""
+    weights = weights or _require_ordered3(g, p)
+    found = pull_check(g, p, i, weights)
+    if found is None:
         return None
-    return sort_classes(g, (p[2 - i], p[i - 1] | u, p[2] - u))
+    u, wu, rest = found
+    return _ordered(
+        (p[2 - i], p[i - 1] | u, rest),
+        (weights[2 - i], weights[i - 1] + wu, weights[2] - wu),
+    )
 
 
 def initial_3partition(g: WeightedGraph) -> Partition:
@@ -123,24 +162,28 @@ def _improvement_loop(g: WeightedGraph, p: Partition) -> tuple[Partition, int]:
 
     Returns the terminal ordered partition and the iteration count; aborts if
     the heaviest weight ever fails to strictly decrease.  The moves build
-    connected classes unchecked; `order3` validates the terminal partition
-    once and raises ContractViolation if a move broke it.
+    connected classes and their weights unchecked; `order3` validates the
+    terminal partition once and raises ContractViolation if a move broke it,
+    and InternalError follows if the carried weights or order drifted.
     """
     total = g.total_weight
     iterations = 0
-    heaviest = g.weight(p[2])
-    while 2 * heaviest > total:
-        moved = merge(g, p) or pull(g, p, 1) or pull(g, p, 2)
+    weights = _require_ordered3(g, p)
+    while 2 * weights[2] > total:
+        moved = merge(g, p, weights) or pull(g, p, 1, weights) or pull(g, p, 2, weights)
         if moved is None:
             break
-        p = moved
+        before = weights[2]
+        p, weights = moved
         iterations += 1
-        before, heaviest = heaviest, g.weight(p[2])
-        if heaviest >= before:
+        if weights[2] >= before:
             raise InternalError("heaviest class weight did not decrease")
         if iterations > total + 1:
             raise InternalError("improvement loop exceeded its w(G) bound")
-    return order3(g, p), iterations
+    terminal = order3(g, p)
+    if terminal != p or _require_ordered3(g, terminal) != weights:
+        raise InternalError("the carried class weights or order drifted")
+    return terminal, iterations
 
 
 def minmax_bcp3(g: WeightedGraph) -> Partition:

@@ -64,6 +64,29 @@ def random_connected_graph(rng: random.Random, n, max_weight=8, extra_edges=None
     return WeightedGraph.from_edges(n, edges, weights)
 
 
+def family_graph(rng, family):
+    """A random graph of one family: star, spider, grid, tree, sparse or
+    dense.  Max weight 1 or 2 makes weight ties."""
+    max_weight = rng.choice([1, 2, 9])
+
+    def weights(n):
+        return [rng.randint(1, max_weight) for _ in range(n)]
+
+    if family == "star":
+        n = rng.randint(4, 30)
+        return star_graph(n, weights(n))
+    if family == "spider":
+        return spider_graph(
+            rng.randint(3, 6), rng.randint(1, 6), rng.randint(1, 12), rng.randint(1, max_weight)
+        )
+    if family == "grid":
+        rows, cols = rng.randint(2, 6), rng.randint(2, 6)
+        return grid_graph(rows, cols, weights(rows * cols))
+    n = rng.randint(4, 30)
+    extra = {"tree": 0, "sparse": None, "dense": n * (n - 1) // 3}[family]
+    return random_connected_graph(rng, n, max_weight, extra_edges=extra)
+
+
 @st.composite
 def connected_graphs(draw, min_n=2, max_n=9, max_weight=8):
     n = draw(st.integers(min_n, max_n))

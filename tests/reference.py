@@ -18,8 +18,15 @@ from bcp.fpt import (
     _max_flow,
     build_hypergraph,
 )
-from bcp.graph import VertexSet, WeightedGraph, is_connected
-from bcp.partition import Partition
+from bcp.graph import (
+    VertexSet,
+    WeightedGraph,
+    boundary_neighbors,
+    components,
+    is_connected,
+    split_two,
+)
+from bcp.partition import Partition, sort_classes
 
 
 def oracle_pull_admissible(
@@ -47,6 +54,38 @@ def oracle_pull_admissible(
             if is_connected(g, vi | u) and is_connected(g, v3 - u):
                 return u
     return None
+
+
+def pull_check_components(g: WeightedGraph, p: Partition, i: int) -> VertexSet | None:
+    """`pull_check` for an ordered 3-partition, walking all of V3 - v with
+    `components` for each boundary vertex v and summing every class.  The
+    fast path is bcp.minmax.pull_check, which carries the class weights and
+    stops searching V3 - v at the smaller side (graph.heaviest_piece)."""
+    v3 = p[2]
+    if len(v3) < 2:
+        return None
+    for v in boundary_neighbors(g, p[i - 1], v3):
+        heavy = sort_classes(g, components(g, v3 - {v}))[-1]
+        if g.weight(p[i - 1]) < g.weight(heavy):
+            return v3 - heavy
+    return None
+
+
+def merge_resummed(g: WeightedGraph, p: Partition) -> Partition | None:
+    """`merge` that orders its result by summing all three classes again."""
+    v1, v2, v3 = p
+    if len(v3) < 2 or not boundary_neighbors(g, v1, v2):
+        return None
+    return sort_classes(g, (v1 | v2, *split_two(g, v3)))
+
+
+def pull_resummed(g: WeightedGraph, p: Partition, i: int) -> Partition | None:
+    """`pull` by `pull_check_components`, ordered by summing all three
+    classes again."""
+    u = pull_check_components(g, p, i)
+    if u is None:
+        return None
+    return sort_classes(g, (p[2 - i], p[i - 1] | u, p[2] - u))
 
 
 def class_size(candidate: ModelCandidate, i: int) -> int:

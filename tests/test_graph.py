@@ -9,12 +9,21 @@ from bcp.graph import (
     WeightedGraph,
     boundary_neighbors,
     components,
+    heaviest_piece,
     is_connected,
     non_cut_vertex,
     split_two,
 )
+from bcp.partition import sort_classes
 
-from .conftest import connected_graphs, path_graph, star_graph, triangle_graph
+from .conftest import (
+    connected_graphs,
+    family_graph,
+    path_graph,
+    spider_graph,
+    star_graph,
+    triangle_graph,
+)
 
 
 def fs(*vs):
@@ -214,3 +223,59 @@ def test_components_agree_with_transitive_closure_oracle():
         size = rng.randint(1, n)
         s = frozenset(rng.sample(range(n), size))
         assert components(g, s) == _transitive_closure_components(g, s)
+
+
+def _random_connected_subset(g, rng):
+    """A connected vertex set grown from a random vertex to a random size."""
+    s = {rng.randrange(g.n)}
+    for _ in range(rng.randint(1, g.n - 1)):
+        s.add(rng.choice(sorted({y for x in s for y in g.adjacency[x]} - s)))
+    return frozenset(s)
+
+
+class TestHeaviestPiece:
+    def test_path_middle(self):
+        g = path_graph(5, [1, 1, 5, 2, 1])
+        s = fs(0, 1, 2, 3, 4)
+        assert heaviest_piece(g, s, 2, 10) == (fs(3, 4), 3, fs(0, 1, 2))
+        assert heaviest_piece(g, s, 0, 10) == (fs(1, 2, 3, 4), 9, fs(0))
+
+    def test_tie_goes_to_larger_smallest_id(self):
+        g = star_graph(4)
+        assert heaviest_piece(g, fs(0, 1, 2, 3), 0, 4) == (fs(3), 1, fs(0, 1, 2))
+        g = spider_graph(3, 2)  # legs 1-2, 3-4, 5-6
+        assert heaviest_piece(g, frozenset(range(7)), 0, 7) == (fs(5, 6), 2, fs(0, 1, 2, 3, 4))
+
+    def test_unwalked_rest_ties_by_its_smallest_id(self):
+        # Removing v leaves a one-vertex piece, found in the first round, and
+        # a rest that is never walked; both weigh 5, and the larger smallest
+        # id wins: the piece {5} over the rest {0, 1, 2, 3} ...
+        s = frozenset(range(6))
+        g = path_graph(6, [1, 1, 1, 2, 1, 5])
+        assert heaviest_piece(g, s, 4, 11) == (fs(5), 5, fs(0, 1, 2, 3, 4))
+        # ... and the rest {2, 3, 4, 5} over the piece {0}.
+        g = path_graph(6, [5, 1, 2, 1, 1, 1])
+        assert heaviest_piece(g, s, 1, 11) == (fs(2, 3, 4, 5), 5, fs(0, 1))
+
+    def test_lone_vertex_rejected(self):
+        with pytest.raises(ContractViolation):
+            heaviest_piece(path_graph(3), fs(1), 1, 1)
+
+    def test_matches_components(self):
+        """H, w(H) and U agree with sorting `components(g, s - {v})`, for every
+        v of random connected sets s, min(s) included, on stars, spiders,
+        grids, trees and dense graphs."""
+        rng = random.Random("heaviest-piece")
+        ties = many = 0
+        for family in ("star", "spider", "grid", "tree", "dense"):
+            for _ in range(150):
+                g = family_graph(rng, family)
+                s = _random_connected_subset(g, rng)
+                for v in sorted(s):
+                    pieces = sort_classes(g, components(g, s - {v}))
+                    heavy = pieces[-1]
+                    got = heaviest_piece(g, s, v, g.weight(s))
+                    assert got == (heavy, g.weight(heavy), s - heavy), (g.edges(), s, v)
+                    many += len(pieces) >= 3
+                    ties += len(pieces) >= 2 and g.weight(pieces[-2]) == g.weight(heavy)
+        assert ties > 100 and many > 100

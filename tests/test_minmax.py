@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from bcp.errors import ContractViolation
 from bcp.graph import boundary_neighbors, is_connected
+from bcp.instances import generate
 from bcp.minmax import (
     BcpkResult,
     Certificate,
@@ -22,12 +23,18 @@ from bcp.partition import order3, sort_classes, validate, w_plus
 
 from .conftest import (
     connected_graphs,
+    family_graph,
     path_graph,
     spider_graph,
     star_graph,
     triangle_graph,
 )
-from .reference import oracle_pull_admissible
+from .reference import (
+    merge_resummed,
+    oracle_pull_admissible,
+    pull_check_components,
+    pull_resummed,
+)
 
 
 def fs(*vs):
@@ -38,9 +45,7 @@ class TestMerge:
     def test_p5_trace(self):
         g = path_graph(5)
         p = order3(g, [fs(0), fs(1), fs(2, 3, 4)])
-        merged = merge(g, p)
-        assert merged == (fs(2), fs(0, 1), fs(3, 4))
-        assert [g.weight(c) for c in merged] == [1, 2, 2]
+        assert merge(g, p) == ((fs(2), fs(0, 1), fs(3, 4)), (1, 2, 2))
 
     def test_non_adjacent_rejected(self):
         g = path_graph(5)
@@ -58,12 +63,12 @@ class TestPullCheck:
     def test_p5_first_class(self):
         g = path_graph(5)
         p = order3(g, [fs(0), fs(4), fs(1, 2, 3)])
-        assert pull_check(g, p, 1) == fs(1)
+        assert pull_check(g, p, 1) == (fs(1), 1, fs(2, 3))
 
     def test_p5_second_class(self):
         g = path_graph(5)
         p = order3(g, [fs(0), fs(4), fs(1, 2, 3)])
-        assert pull_check(g, p, 2) == fs(3)
+        assert pull_check(g, p, 2) == (fs(3), 1, fs(1, 2))
 
     def test_absent_matches_oracle(self):
         g = star_graph(5)
@@ -84,9 +89,7 @@ class TestPull:
     def test_p5_trace(self):
         g = path_graph(5)
         p = order3(g, [fs(0), fs(4), fs(1, 2, 3)])
-        pulled = pull(g, p, 1)
-        assert pulled == (fs(4), fs(0, 1), fs(2, 3))
-        assert [g.weight(c) for c in pulled] == [1, 2, 2]
+        assert pull(g, p, 1) == ((fs(4), fs(0, 1), fs(2, 3)), (1, 2, 2))
 
 
 class TestInitialPartition:
@@ -287,14 +290,17 @@ def test_terminal_heavy_partition_is_optimal(g):
         assert w_plus(g, p) == exact_minmax(g, 3)[0]
 
 
-def check_move(g, p, q):
-    """A move that applies builds a valid ordered 3-partition whose heaviest
-    class is strictly lighter than p's; the moves themselves never validate."""
-    if q is not None:
+def check_move(g, p, moved):
+    """A move that applies builds a valid ordered 3-partition, with its true
+    class weights, whose heaviest class is strictly lighter than p's; the
+    moves themselves never validate."""
+    if moved is not None:
+        q, weights = moved
         assert validate(g, q, 3) == []
         assert q == sort_classes(g, q)
+        assert weights == tuple(g.weight(c) for c in q)
         assert g.weight(q[2]) < g.weight(p[2])
-    return q is not None
+    return moved is not None
 
 
 def test_pull_check_complete_against_oracle():
@@ -320,10 +326,12 @@ def test_pull_check_complete_against_oracle():
             merges += check_move(g, p, merge(g, p))
             for i in (1, 2):
                 pulls += check_move(g, p, pull(g, p, i))
-                fast = pull_check(g, p, i)
+                found = pull_check(g, p, i)
                 slow = oracle_pull_admissible(g, p, i)
-                assert (fast is None) == (slow is None)
-                if fast is not None:
+                assert (found is None) == (slow is None)
+                if found is not None:
+                    fast, weight, rest = found
+                    assert weight == g.weight(fast) and rest == p[2] - fast
                     assert fast < p[2]
                     assert is_connected(g, p[i - 1] | fast)
                     assert is_connected(g, p[2] - fast)
@@ -340,3 +348,78 @@ def test_broken_move_caught_once_per_solve(monkeypatch):
     monkeypatch.setattr("bcp.minmax.split_two", lambda g, s: (fs(0, 2), fs(1)))
     with pytest.raises(ContractViolation, match="disconnected"):
         minmax_bcpk(g, 3)
+
+
+def _random_heavy_3partition(g, rng):
+    """A connected 3-partition grown from three random seeds, the third
+    growing fastest, in `sort_classes` order; None unless its heaviest class
+    outweighs the other two."""
+    classes = [{v} for v in rng.sample(range(g.n), 3)]
+    free = set(range(g.n)) - set().union(*classes)
+    while free:
+        grow = [
+            (c, sorted({y for x in cls for y in g.adjacency[x] if y in free}))
+            for c, cls in enumerate(classes)
+        ]
+        grow = [(c, ys) for c, ys in grow if ys]
+        c, ys = rng.choices(grow, weights=[1 + 5 * (c == 2) for c, _ in grow])[0]
+        y = rng.choice(ys)
+        classes[c].add(y)
+        free.discard(y)
+    p = sort_classes(g, map(frozenset, classes))
+    return p if 2 * g.weight(p[2]) > g.total_weight else None
+
+
+def _check_moves_against_reference(g, p):
+    """Compare each move at p with its components-based, re-summing
+    reference; returns the reference's next loop state (or None)."""
+    weights = tuple(g.weight(c) for c in p)
+    expected = merge_resummed(g, p)
+    for carried in (None, weights):
+        got = merge(g, p, carried)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got == (expected, tuple(g.weight(c) for c in expected))
+    step = expected
+    for i in (1, 2):
+        u = pull_check_components(g, p, i)
+        expected = pull_resummed(g, p, i)
+        for carried in (None, weights):
+            found = pull_check(g, p, i, carried)
+            assert found == (None if u is None else (u, g.weight(u), p[2] - u))
+            got = pull(g, p, i, carried)
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert got == (expected, tuple(g.weight(c) for c in expected))
+        step = step or expected
+    return step
+
+
+@pytest.mark.parametrize("family", ["star", "spider", "grid", "tree", "sparse", "dense"])
+def test_moves_match_components_reference(family):
+    """merge, pull_check and pull, with carried weights and without, equal
+    the components-based moves on random heavy 3-partitions and along the
+    whole improvement loop."""
+    rng = random.Random(f"moves-{family}")
+    states = hits = 0
+    for _ in range(60):
+        g = family_graph(rng, family)
+        starts = [_random_heavy_3partition(g, rng) for _ in range(3)]
+        starts.append(initial_3partition(g))
+        for p in starts:
+            while p is not None and 2 * g.weight(p[2]) > g.total_weight:
+                step = _check_moves_against_reference(g, p)
+                states += 1
+                hits += step is not None
+                p = step
+    assert states > 100 and hits > 50
+
+
+def test_unit_spider_3200():
+    """A unit spider whose 532 moves each cut a few vertices off a V3 of
+    thousands."""
+    g = generate("spider", 3200)
+    result = minmax_bcpk(g, 3)
+    assert result.iterations == 532
+    assert w_plus(g, result.classes) == 1600
+    assert validate(g, result.classes, 3) == []
