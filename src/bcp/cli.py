@@ -6,7 +6,7 @@ oracle), fpt-maxmin (vertex-cover-parameterized exact solver), gen
 
 Exit codes: 0 success, 2 input error, 3 budget exceeded.  The environment
 variable BCP_BUDGET_SECONDS caps oracle and fpt-maxmin run time per
-instance.
+instance; every solving command rejects a malformed value.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import BudgetExceeded, ContractViolation, InputError, ParseError
-from .fpt import solve_fpt_maxmin
+from .fpt import FptModel, solve_fpt_maxmin
 from .graph import WeightedGraph
 from .instances import FAMILIES, generate, parse_instance, parse_rational, write_instance
-from .minmax import Certificate, minmax_bcpk
+from .minmax import minmax_bcpk
 from .oracle import exact_maxmin, exact_minmax
 from .partition import (
     Partition,
@@ -38,17 +38,22 @@ from .partition import (
 from .scaling import eps_minmax_bcpk
 
 BUDGET_ENV = "BCP_BUDGET_SECONDS"
+ALGORITHMS = ("minmax-bcpk", "eps-minmax-bcpk", "exact-minmax", "exact-maxmin", "fpt-maxmin")
 
 
 @dataclass
-class SolveReport:
+class RunReport:
+    """One solver run; iterations counts min-max moves or FPT search nodes."""
+
     value: int
     classes: Partition
     certificate: str
     bound_kind: str
     bound: Fraction
-    iterations: int
     wall_ms: float
+    iterations: int = 0
+    cuts: int = 0
+    model: FptModel | None = None
 
 
 @dataclass
@@ -104,45 +109,60 @@ def _fmt_ratio(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator} ({float(value):.6f})"
 
 
-def _solve_report(g: WeightedGraph, k: int, epsilon: Fraction | None) -> SolveReport:
+def _run(
+    g: WeightedGraph,
+    k: int,
+    algorithm: str,
+    epsilon: Fraction | None = None,
+    cover: list[int] | None = None,
+) -> RunReport:
+    """Run one of ALGORITHMS under the BCP_BUDGET_SECONDS budget and time
+    the solver call.  A min-max solve is bounded by the average weight, or
+    by the cut-vertex bound when the core of an unscaled star certificate is
+    the heaviest class; an exact solve by its own value."""
+    max_seconds = _budget_seconds()
+    if algorithm in ("minmax-bcpk", "eps-minmax-bcpk") and k == 2:
+        raise InputError(
+            "k=2 is not supported by the approximation pipeline; "
+            "use 'exact' or 'fpt-maxmin'"
+        )
     start = time.perf_counter()
-    if epsilon is None:
+    if algorithm == "minmax-bcpk":
         result = minmax_bcpk(g, k)
-    else:
+    elif algorithm == "eps-minmax-bcpk":
         result = eps_minmax_bcpk(g, k, epsilon)
+    elif algorithm == "fpt-maxmin":
+        fpt = solve_fpt_maxmin(g, k, cover, max_seconds=max_seconds)
+    else:
+        exact = exact_minmax if algorithm == "exact-minmax" else exact_maxmin
+        value, classes = exact(g, k, max_seconds)
     wall_ms = (time.perf_counter() - start) * 1000
+    if algorithm == "fpt-maxmin":
+        return RunReport(
+            fpt.value, fpt.classes, "optimal", "oracle", Fraction(fpt.value),
+            wall_ms, fpt.nodes, fpt.cuts_added, fpt.model,
+        )
+    if algorithm.startswith("exact-"):
+        return RunReport(value, classes, "optimal", "oracle", Fraction(value), wall_ms)
     value = max(g.weight(c) for c in result.classes)
     bound_kind = "average"
     bound: Fraction = average_weight_bound(g, k)
-    if (
-        epsilon is None
-        and result.certificate is Certificate.STAR_OPTIMAL
-        and result.star is not None
-    ):
+    if algorithm == "minmax-bcpk" and result.star is not None:  # set only on StarOptimal
         core = next(c for c in result.classes if result.star.u in c)
         if g.weight(core) == value:
             bound_kind = "cut-vertex"
             bound = Fraction(cut_vertex_bound(g, k, result.star.u))
-    return SolveReport(
-        value=value,
-        classes=result.classes,
-        certificate=result.certificate.value,
-        bound_kind=bound_kind,
-        bound=bound,
-        iterations=result.iterations,
-        wall_ms=wall_ms,
+    return RunReport(
+        value, result.classes, result.certificate.value, bound_kind, bound,
+        wall_ms, result.iterations,
     )
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = _load_graph(args.instance)
-    if args.k == 2:
-        raise InputError(
-            "k=2 is not supported by the approximation pipeline; "
-            "use 'exact' or 'fpt-maxmin'"
-        )
     epsilon = _parse_fraction(args.epsilon) if args.epsilon else None
-    report = _solve_report(g, args.k, epsilon)
+    algorithm = "minmax-bcpk" if epsilon is None else "eps-minmax-bcpk"
+    report = _run(g, args.k, algorithm, epsilon)
     print(f"instance: {args.instance} (n={g.n}, m={g.m}, W={g.total_weight})")
     print("objective: minmax")
     print(f"k: {args.k}")
@@ -160,20 +180,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     g = _load_graph(args.instance)
-    max_seconds = _budget_seconds()
-    start = time.perf_counter()
-    if args.objective == "minmax":
-        value, witness = exact_minmax(g, args.k, max_seconds)
-    else:
-        value, witness = exact_maxmin(g, args.k, max_seconds)
-    wall_ms = (time.perf_counter() - start) * 1000
+    report = _run(g, args.k, f"exact-{args.objective}")
     print(f"instance: {args.instance} (n={g.n}, m={g.m}, W={g.total_weight})")
     print(f"objective: {args.objective}")
     print(f"k: {args.k}")
-    print(f"value: {value}")
-    print("certificate: optimal")
-    _print_partition(g, witness)
-    print(f"time-ms: {wall_ms:.1f}")
+    print(f"value: {report.value}")
+    print(f"certificate: {report.certificate}")
+    _print_partition(g, report.classes)
+    print(f"time-ms: {report.wall_ms:.1f}")
     return 0
 
 
@@ -185,21 +199,19 @@ def _cmd_fpt_maxmin(args: argparse.Namespace) -> int:
             cover = [int(tok) for tok in args.cover.split(",") if tok]
         except ValueError:
             raise InputError(f"bad cover list {args.cover!r}") from None
-    start = time.perf_counter()
-    result = solve_fpt_maxmin(g, args.k, cover, max_seconds=_budget_seconds())
-    wall_ms = (time.perf_counter() - start) * 1000
+    report = _run(g, args.k, "fpt-maxmin", cover=cover)
     print(f"instance: {args.instance} (n={g.n}, m={g.m})")
     print("objective: maxmin (unweighted)")
     print(f"k: {args.k}")
-    print(f"cover: {' '.join(str(v) for v in result.model.dec.cover)}")
-    print(f"value: {result.value}")
-    print("certificate: optimal")
-    _print_partition(g, result.classes)
-    print(f"nodes: {result.nodes}")
-    print(f"cuts: {result.cuts_added}")
-    print(f"time-ms: {wall_ms:.1f}")
+    print(f"cover: {' '.join(str(v) for v in report.model.dec.cover)}")
+    print(f"value: {report.value}")
+    print(f"certificate: {report.certificate}")
+    _print_partition(g, report.classes)
+    print(f"nodes: {report.iterations}")
+    print(f"cuts: {report.cuts}")
+    print(f"time-ms: {report.wall_ms:.1f}")
     if args.dump_model:
-        Path(args.dump_model).write_text(result.model.dump())
+        Path(args.dump_model).write_text(report.model.dump())
         print(f"model dumped to {args.dump_model}")
     return 0
 
@@ -266,53 +278,35 @@ def _bench_one(entry: object, index: int) -> BenchRecord:
         raise InputError(f"suite entry {index}: n, k, seed and a weights pair must be integers")
     n, k, seed, lo, hi = numbers
     algorithm = entry["algorithm"]
+    if algorithm not in ALGORITHMS:
+        raise InputError(f"suite entry {index}: unknown algorithm {algorithm!r}")
     instance_id = entry.get("id", f"{family}-n{n}-s{seed}")
     try:
         g = generate(family, n, (lo, hi), seed)
     except ValueError as exc:
         raise InputError(f"suite entry {index}: {exc}") from exc
 
-    max_seconds = _budget_seconds()
-    iterations = cuts = 0
-    start = time.perf_counter()
-    if algorithm in ("minmax-bcpk", "eps-minmax-bcpk"):
-        epsilon = None
-        if algorithm == "eps-minmax-bcpk":
-            epsilon = _parse_fraction(str(entry.get("epsilon", "1/2")))
-        report = _solve_report(g, k, epsilon)
-        value, iterations = report.value, report.iterations
-        bound_kind, bound = report.bound_kind, report.bound
-    else:
-        if algorithm == "exact-minmax":
-            value, _ = exact_minmax(g, k, max_seconds)
-        elif algorithm == "exact-maxmin":
-            value, _ = exact_maxmin(g, k, max_seconds)
-        elif algorithm == "fpt-maxmin":
-            result = solve_fpt_maxmin(g, k, max_seconds=max_seconds)
-            value = result.value
-            cuts = result.cuts_added
-            iterations = result.nodes
-        else:
-            raise InputError(f"suite entry {index}: unknown algorithm {algorithm!r}")
-        bound_kind, bound = "oracle", Fraction(value)
-    wall_ms = (time.perf_counter() - start) * 1000
+    epsilon = None
+    if algorithm == "eps-minmax-bcpk":
+        epsilon = _parse_fraction(str(entry.get("epsilon", "1/2")))
+    report = _run(g, k, algorithm, epsilon)
 
     ratio = ""
-    if bound > 0:
-        ratio = f"{float(Fraction(value) / bound):.6f}"
+    if report.bound > 0:
+        ratio = f"{float(Fraction(report.value) / report.bound):.6f}"
     return BenchRecord(
         instance_id=instance_id,
         n=g.n,
         m=g.m,
         k=k,
         algorithm=algorithm,
-        value=value,
-        bound_kind=bound_kind,
-        bound=str(bound),
+        value=report.value,
+        bound_kind=report.bound_kind,
+        bound=str(report.bound),
         ratio=ratio,
-        iterations=iterations,
-        cuts=cuts,
-        wall_ms=f"{wall_ms:.1f}",
+        iterations=report.iterations,
+        cuts=report.cuts,
+        wall_ms=f"{report.wall_ms:.1f}",
     )
 
 

@@ -110,7 +110,6 @@ def build_hypergraph(dec: VertexCoverDecomposition, z: Iterable[int]) -> CutHype
 class ModelCandidate:
     """An integral assignment of the model variables."""
 
-    k: int
     x_class: dict[int, int]
     y: dict[VertexSet, tuple[int, ...]]
 
@@ -346,24 +345,20 @@ def _best_transport(
     supplies: list[int],
     bases: list[int],
     elig: list[list[int]],
-    floor: int | None,
+    floor: int,
     cap_value: int,
 ) -> tuple[int, list[list[int]]] | None:
     """Largest t in (floor, cap_value] for which a transport lifts every class
     i to t units beyond bases[i], with the flow of the last feasible probe,
     which is the flow at t; None when the first probe, floor + 1, fails.
-    Without a floor, t = 0 needs no flow and the search is over (0,
-    cap_value]."""
+    A floor of -1 accepts any t >= 0."""
 
     def probe(t: int) -> list[list[int]] | None:
         return _max_flow(supplies, [max(0, t - b) for b in bases], elig)
 
-    if floor is None:
-        lo, flow = 0, [[0] * len(bases) for _ in supplies]
-    elif floor < cap_value and (flow := probe(floor + 1)) is not None:
-        lo = floor + 1
-    else:
+    if floor >= cap_value or (flow := probe(floor + 1)) is None:
         return None
+    lo = floor + 1
     hi = cap_value
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -381,8 +376,8 @@ def _distribute(
     bases: list[int],
     covers: list[tuple[int, list[int]]],
     cap_value: int,
+    floor: int,
     deadline: float | None = None,
-    floor: int | None = None,
 ) -> tuple[int, list[list[int]]] | None:
     """Exact max-min completion of the stable-set counts for a fixed cover
     assignment, when it beats floor.
@@ -397,7 +392,7 @@ def _distribute(
     in ascending order, raising the floor to the best value found, and stops
     once a branch reaches the bound.  Returns the best (value, allocation),
     leftover units handed to the smallest eligible classes, or None when
-    nothing strictly beats floor (without a floor, when the covers are
+    nothing strictly beats floor (with floor -1, when the covers are
     unsatisfiable); raises BudgetExceeded once time.monotonic() passes the
     deadline.
     """
@@ -406,7 +401,7 @@ def _distribute(
     covers = _tightest_covers(covers)
     forced = [[0] * k for _ in range(m)]
 
-    def node(floor: int | None) -> tuple[int, list[list[int]]] | None:
+    def node(floor: int) -> tuple[int, list[list[int]]] | None:
         _check_deadline(deadline)
         supplies = [counts[j] - sum(forced[j]) for j in range(m)]
         base_eff = [bases[i] + sum(row[i] for row in forced) for i in range(k)]
@@ -494,9 +489,6 @@ def solve_fpt_maxmin(
     counts = [len(dec.classes_by_neighborhood[s]) for s in sets]
     pos_of = {v: p for p, v in enumerate(xs)}
     set_masks = [sum(1 << pos_of[v] for v in s) for s in sets]
-    rem_masks = [0] * (len(xs) + 1)
-    for p in range(len(xs) - 1, -1, -1):
-        rem_masks[p] = rem_masks[p + 1] | (1 << p)
 
     cap_value = g.n // k
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
@@ -505,14 +497,14 @@ def solve_fpt_maxmin(
     best_classes: Partition | None = None
     pool_seen: set[CutConstraint] = set()
     nodes = 0
-    class_masks: list[int] = []
-    assign: list[int] = []
+    # Cover positions by class; the first `used` classes are open.
+    class_masks = [0] * k
 
-    def upper_bound(pos: int) -> int:
-        rem = rem_masks[pos]
+    def upper_bound(pos: int, used: int) -> int:
+        rem = (1 << len(xs)) - (1 << pos)
         remaining = len(xs) - pos
         ub = cap_value
-        for cm in class_masks:
+        for cm in class_masks[:used]:
             reach = cm | rem
             attach = sum(c for c, sm in zip(counts, set_masks) if sm & reach)
             ub = min(ub, bin(cm).count("1") + remaining + attach)
@@ -524,14 +516,14 @@ def solve_fpt_maxmin(
         elig = [
             [i for i in range(k) if sm & class_masks[i]] for sm in set_masks
         ]
-        x_of = {xs[p]: assign[p] for p in range(len(xs))}
+        x_of = {xs[p]: i for p in range(len(xs)) for i in range(k) if class_masks[i] >> p & 1}
+        # Covers of the pooled cuts that bind here, then of each pass's fresh
+        # cuts, which are violated and so bind.
+        binding = [cut for cut in model.cuts if cut.binds(x_of)]
+        covers = []
         while True:
             _check_deadline(deadline)
-            covers = []
-            feasible = True
-            for cut in model.cuts:
-                if not cut.binds(x_of):
-                    continue
+            for cut in binding:
                 i = cut.class_index
                 groups = [
                     j
@@ -539,29 +531,25 @@ def solve_fpt_maxmin(
                     if s in cut.hyperedges and i in elig[j]
                 ]
                 if not groups:
-                    feasible = False
-                    break
+                    return
                 covers.append((i, groups))
-            if not feasible:
-                return
-            res = _distribute(counts, elig, bases, covers, cap_value, deadline, best_value)
+            res = _distribute(counts, elig, bases, covers, cap_value, best_value, deadline)
             if res is None:
                 return
             value, alloc = res
             candidate = ModelCandidate(
-                k=k, x_class=x_of, y={s: tuple(alloc[j]) for j, s in enumerate(sets)}
+                x_class=x_of, y={s: tuple(alloc[j]) for j, s in enumerate(sets)}
             )
             cuts = separate(g, dec, k, candidate)
             if not cuts:
                 best_value = value
                 best_classes = reconstruct(g, dec, k, candidate)
                 return
-            fresh = [c for c in cuts if c not in pool_seen]
-            if not fresh:
+            if not pool_seen.isdisjoint(cuts):
                 raise InternalError("separation repeated a pooled cut")
-            for c in fresh:
-                pool_seen.add(c)
-                model.cuts.append(c)
+            pool_seen.update(cuts)
+            model.cuts.extend(cuts)
+            binding = cuts
 
     def dfs(pos: int, used: int) -> None:
         nonlocal nodes
@@ -572,24 +560,16 @@ def solve_fpt_maxmin(
             return
         if used + (len(xs) - pos) < k:
             return
-        if used and upper_bound(pos) <= best_value:
+        if used and upper_bound(pos, used) <= best_value:
             return
         if pos == len(xs):
             leaf()
             return
         bit = 1 << pos
         for c in range(min(used + 1, k)):
-            if c == used:
-                class_masks.append(bit)
-            else:
-                class_masks[c] |= bit
-            assign.append(c)
+            class_masks[c] |= bit
             dfs(pos + 1, used + (1 if c == used else 0))
-            assign.pop()
-            if c == used:
-                class_masks.pop()
-            else:
-                class_masks[c] &= ~bit
+            class_masks[c] &= ~bit
 
     dfs(0, 0)
     if best_classes is None:

@@ -77,19 +77,19 @@ def _ordered(classes: Partition, weights: Weights) -> tuple[Partition, Weights]:
 
 
 def merge(
-    g: WeightedGraph, p: Partition, weights: Weights | None = None
+    g: WeightedGraph, p: Partition, weights: Weights
 ) -> tuple[Partition, Weights] | None:
     """Fuse V1 with V2 and split V3 into two connected halves.
 
-    `weights` are p's class weights as the loop carries them; without
-    them they are summed and p's order checked.  Requires w(V3) > w(G)/2.
+    `weights` are p's class weights as the loop carries them; p must be in
+    `sort_classes` order, which no move checks.  Requires w(V3) > w(G)/2.
     Returns None when the move does not apply: V1 and V2 are not adjacent,
     or |V3| < 2.  Otherwise the result is the ordered partition and its
     weights; its heaviest class is strictly lighter than the old V3, and its
     classes are connected by construction: V1 touches V2, and the halves are
     the sides of a deleted spanning-tree edge of G[V3].
     """
-    w1, w2, w3 = weights or _require_ordered3(g, p)
+    w1, w2, w3 = weights
     v1, v2, v3 = p
     if 2 * w3 <= g.total_weight:
         raise ContractViolation("merge() requires w(V3) > w(G)/2")
@@ -101,7 +101,7 @@ def merge(
 
 
 def pull_check(
-    g: WeightedGraph, p: Partition, i: int, weights: Weights | None = None
+    g: WeightedGraph, p: Partition, i: int, weights: Weights
 ) -> tuple[VertexSet, int, VertexSet] | None:
     """Find a pull-admissible subset U of V3 for light class i in {1, 2},
     its weight, and V3 - U.
@@ -114,7 +114,6 @@ def pull_check(
     """
     if i not in (1, 2):
         raise ContractViolation("class index must be 1 or 2")
-    weights = weights or _require_ordered3(g, p)
     w3 = weights[2]
     if 2 * w3 <= g.total_weight:
         raise ContractViolation("pull_check() requires w(V3) > w(G)/2")
@@ -129,13 +128,12 @@ def pull_check(
 
 
 def pull(
-    g: WeightedGraph, p: Partition, i: int, weights: Weights | None = None
+    g: WeightedGraph, p: Partition, i: int, weights: Weights
 ) -> tuple[Partition, Weights] | None:
     """Move the set `pull_check(g, p, i, weights)` finds from V3 into light
     class i in {1, 2}, and return the reordered partition and its weights,
     or None when it finds none.  The three classes stay connected by
     `pull_check`'s construction of the set."""
-    weights = weights or _require_ordered3(g, p)
     found = pull_check(g, p, i, weights)
     if found is None:
         return None

@@ -108,7 +108,7 @@ def encode(model: FptModel, partition: Sequence[Iterable[int]]) -> ModelCandidat
     for s, members in model.dec.classes_by_neighborhood.items():
         mset = set(members)
         y[s] = tuple(len(mset & c) for c in classes)
-    return ModelCandidate(k=model.k, x_class=x_class, y=y)
+    return ModelCandidate(x_class=x_class, y=y)
 
 
 def check_base(model: FptModel, candidate: ModelCandidate) -> list[str]:

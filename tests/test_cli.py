@@ -202,33 +202,50 @@ class TestBench:
         assert star["ratio"] == "1.000000"
 
     def test_solver_rows_match_solve(self, tmp_path, capsys):
+        """Each row carries what the matching command prints: `solve` for
+        the min-max rows, `exact` for the oracle rows and `fpt-maxmin`,
+        whose nodes and cuts fill the iterations and cuts columns."""
         suite = self.suite(tmp_path)
         out = tmp_path / "s.csv"
         assert run_cli(["bench", "--suite", suite, "--out", str(out)]) == 0
         rows = list(csv.DictReader(out.open()))
         entries = json.loads((tmp_path / "suite.json").read_text())["entries"]
+        commands = {
+            "minmax-bcpk": ["solve"],
+            "eps-minmax-bcpk": ["solve"],
+            "exact-minmax": ["exact", "--objective", "minmax"],
+            "exact-maxmin": ["exact", "--objective", "maxmin"],
+            "fpt-maxmin": ["fpt-maxmin"],
+        }
         checked = 0
         for entry, row in zip(entries, rows):
-            if entry["algorithm"] not in ("minmax-bcpk", "eps-minmax-bcpk"):
-                continue
             lo, hi = entry.get("weights", [1, 1])
             g = generate(entry["family"], entry["n"], (lo, hi), entry.get("seed", 0))
             inst = tmp_path / f"{row['instance_id']}.bcp"
             inst.write_text(write_instance(g))
-            argv = ["solve", str(inst), "--k", str(entry["k"])]
+            command, *options = commands[entry["algorithm"]]
+            argv = [command, str(inst), *options, "--k", str(entry["k"])]
             if "epsilon" in entry:
                 argv += ["--epsilon", entry["epsilon"]]
             capsys.readouterr()
             assert run_cli(argv) == 0
             printed = dict(line.split(": ", 1) for line in lines_of(capsys) if ": " in line)
-            bound_key = next(key for key in printed if key.startswith("bound ("))
             assert row["value"] == printed["value"]
-            assert row["bound_kind"] == bound_key[len("bound ("):-1]
-            assert row["bound"] == printed[bound_key]
-            assert row["ratio"] == printed["ratio"].split("(")[1].rstrip(")")
-            assert row["iterations"] == printed["iterations"]
+            if command == "solve":
+                bound_key = next(key for key in printed if key.startswith("bound ("))
+                assert row["bound_kind"] == bound_key[len("bound ("):-1]
+                assert row["bound"] == printed[bound_key]
+                assert row["ratio"] == printed["ratio"].split("(")[1].rstrip(")")
+                assert (row["iterations"], row["cuts"]) == (printed["iterations"], "0")
+            else:
+                assert (row["bound_kind"], row["bound"]) == ("oracle", printed["value"])
+                assert row["ratio"] == "1.000000"
+                expected = ("0", "0")
+                if command == "fpt-maxmin":
+                    expected = (printed["nodes"], printed["cuts"])
+                assert (row["iterations"], row["cuts"]) == expected
             checked += 1
-        assert checked == 2
+        assert checked == 5
 
     def test_bad_suite(self, tmp_path, capsys):
         good = {"family": "random-tree", "n": 8, "k": 3, "algorithm": "minmax-bcpk"}
@@ -250,6 +267,25 @@ class TestBench:
             bad.write_text(json.dumps(suite))
             assert run_cli(["bench", "--suite", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
             assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "exact", "fpt-maxmin", "bench"])
+def test_malformed_budget_rejected_by_every_solving_command(
+    command, path5, tmp_path, capsys, monkeypatch
+):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(
+        {"entries": [{"family": "star", "n": 5, "k": 3, "algorithm": "minmax-bcpk"}]}
+    ))
+    argv = {
+        "solve": ["solve", path5, "--k", "3"],
+        "exact": ["exact", path5, "--objective", "minmax", "--k", "3"],
+        "fpt-maxmin": ["fpt-maxmin", path5, "--k", "2"],
+        "bench": ["bench", "--suite", str(suite), "--out", str(tmp_path / "b.csv")],
+    }[command]
+    monkeypatch.setenv("BCP_BUDGET_SECONDS", "nan")
+    assert run_cli(argv) == 2
+    assert "BCP_BUDGET_SECONDS" in capsys.readouterr().err
 
 
 def test_no_command_is_exit_2():

@@ -112,7 +112,6 @@ class TestSeparate:
         g = path_graph(5)
         dec = decompose(g, [1, 3])
         candidate = ModelCandidate(
-            k=2,
             x_class={1: 0, 3: 0},
             y={fs(1): (1, 0), fs(3): (1, 0), fs(1, 3): (0, 1)},
         )
@@ -128,7 +127,6 @@ class TestSeparate:
         g = path_graph(5)
         dec = decompose(g, [1, 3])
         candidate = ModelCandidate(
-            k=2,
             x_class={1: 0, 3: 1},
             y={fs(1): (1, 0), fs(3): (0, 1), fs(1, 3): (1, 0)},
         )
@@ -138,7 +136,6 @@ class TestSeparate:
         g = path_graph(5)
         dec = decompose(g, [1, 3])
         candidate = ModelCandidate(
-            k=2,
             x_class={1: 0, 3: 0},
             y={fs(1): (1, 0), fs(3): (1, 0), fs(1, 3): (1, 0)},
         )
@@ -150,20 +147,20 @@ class TestReconstruct:
         g = cycle_graph(4)
         dec = decompose(g, [0, 2])
         candidate = ModelCandidate(
-            k=2, x_class={0: 0, 2: 1}, y={fs(0, 2): (1, 1)}
+            x_class={0: 0, 2: 1}, y={fs(0, 2): (1, 1)}
         )
         assert reconstruct(g, dec, 2, candidate) == (fs(0, 1), fs(2, 3))
 
     def test_single_class(self):
         g = path_graph(3)
         dec = decompose(g, [1])
-        candidate = ModelCandidate(k=1, x_class={1: 0}, y={fs(1): (2,)})
+        candidate = ModelCandidate(x_class={1: 0}, y={fs(1): (2,)})
         assert reconstruct(g, dec, 1, candidate) == (fs(0, 1, 2),)
 
     def test_bad_totals_rejected(self):
         g = cycle_graph(4)
         dec = decompose(g, [0, 2])
-        candidate = ModelCandidate(k=2, x_class={0: 0, 2: 1}, y={fs(0, 2): (1, 0)})
+        candidate = ModelCandidate(x_class={0: 0, 2: 1}, y={fs(0, 2): (1, 0)})
         with pytest.raises(ContractViolation):
             reconstruct(g, dec, 2, candidate)
 
@@ -171,7 +168,6 @@ class TestReconstruct:
         g = path_graph(5)
         dec = decompose(g, [1, 3])
         candidate = ModelCandidate(
-            k=2,
             x_class={1: 0, 3: 0},
             y={fs(1): (1, 0), fs(3): (1, 0), fs(1, 3): (0, 1)},
         )
@@ -288,26 +284,26 @@ class TestMaxFlow:
         monkeypatch.setattr(bcp.fpt, "_max_flow", recording)
         # Probes 3 and 4 are feasible, 5 is not: the optimum 4 comes from a
         # probe that is not the last one.
-        result = _distribute([3, 2, 4], [[0, 1], [1], [1, 2]], [1, 1, 1], [], 5)
+        result = _distribute([3, 2, 4], [[0, 1], [1], [1, 2]], [1, 1, 1], [], 5, 2)
         assert result == (4, [[3, 0, 0], [0, 2, 0], [0, 1, 3]])
         assert calls == [((3, 2, 4), (2, 2, 2)), ((3, 2, 4), (3, 3, 3)), ((3, 2, 4), (4, 4, 4))]
 
     def test_distribute_without_feasible_probe(self):
-        # Class 1 is eligible for no group, so every probe fails and the
-        # distribution starts from the zero flow of lo = 0.
-        assert _distribute([2], [[0]], [0, 0], [], 1) == (0, [[2, 0]])
+        # Class 1 is eligible for no group, so every probe above 0 fails and
+        # the distribution keeps the zero flow of the floor's probe at 0.
+        assert _distribute([2], [[0]], [0, 0], [], 1, -1) == (0, [[2, 0]])
 
 
 class TestDistribute:
     def test_deadline_checked_with_covers(self):
         with pytest.raises(BudgetExceeded):
-            _distribute([2, 1], [[0, 1], [1]], [1, 1], [(1, [0, 1])], 2, time.monotonic() - 1)
+            _distribute([2, 1], [[0, 1], [1]], [1, 1], [(1, [0, 1])], 2, -1, time.monotonic() - 1)
 
     def test_floor_is_a_strict_lower_bound(self):
         # The optimum is 4 (see test_distribute_solves_each_transport_once).
         counts, elig, bases = [3, 2, 4], [[0, 1], [1], [1, 2]], [1, 1, 1]
-        assert _distribute(counts, elig, bases, [], 5, floor=4) is None
-        assert _distribute(counts, elig, bases, [], 5, floor=3)[0] == 4
+        assert _distribute(counts, elig, bases, [], 5, 4) is None
+        assert _distribute(counts, elig, bases, [], 5, 3)[0] == 4
 
     def test_matches_product_reference(self):
         """Branching on the first unmet cover finds the same optimum as
@@ -332,7 +328,7 @@ class TestDistribute:
             rng.shuffle(covers)
             cap = (sum(counts) + sum(bases)) // k
             expected = distribute_product(counts, elig, bases, covers, cap)
-            got = _distribute(counts, elig, bases, covers, cap)
+            got = _distribute(counts, elig, bases, covers, cap, -1)
             if expected is None:
                 assert got is None
                 seen["unsatisfiable"] += 1
@@ -345,7 +341,7 @@ class TestDistribute:
             assert all(any(alloc[j][i] for j in groups) for i, groups in covers)
             assert min(bases[i] + sum(row[i] for row in alloc) for i in range(k)) == value
             floor = rng.randint(0, cap)
-            beat = _distribute(counts, elig, bases, covers, cap, floor=floor)
+            beat = _distribute(counts, elig, bases, covers, cap, floor)
             assert (beat[0] if beat else None) == (value if value > floor else None)
             seen["covers"] += bool(covers)
             seen["implied cover"] += len(covers) > len(bcp.fpt._tightest_covers(covers))
@@ -429,7 +425,7 @@ def test_separation_matches_hypergraph_reach_fixpoint():
             for _ in members:
                 counts[rng.choice(eligible)] += 1
             y[s] = tuple(counts)
-        candidate = ModelCandidate(k=k, x_class=x_class, y=y)
+        candidate = ModelCandidate(x_class=x_class, y=y)
         for cut in separate(g, dec, k, candidate):
             assert cut.hyperedges == reach_hyperedges(
                 dec, candidate, cut.class_index, cut.u, cut.z
@@ -472,7 +468,7 @@ def test_distribution_is_optimal_against_exhaustive_search():
             continue
         best = -1
         for y in _all_distributions(model, x_class, k):
-            candidate = ModelCandidate(k=k, x_class=dict(x_class), y=y)
+            candidate = ModelCandidate(x_class=dict(x_class), y=y)
             if check_base(model, candidate):
                 continue
             best = max(best, min(class_size(candidate, i) for i in range(k)))
@@ -482,7 +478,7 @@ def test_distribution_is_optimal_against_exhaustive_search():
             [i for i in range(k) if any(x_class[v] == i for v in s)] for s in sets
         ]
         bases = [sum(1 for v in x_class.values() if v == i) for i in range(k)]
-        res = _distribute(counts, elig, bases, [], g.n // k)
+        res = _distribute(counts, elig, bases, [], g.n // k, -1)
         assert res is not None
         got = res[0]
         # check_base also enforces the size ordering, which brute force

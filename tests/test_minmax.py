@@ -45,51 +45,51 @@ class TestMerge:
     def test_p5_trace(self):
         g = path_graph(5)
         p = order3(g, [fs(0), fs(1), fs(2, 3, 4)])
-        assert merge(g, p) == ((fs(2), fs(0, 1), fs(3, 4)), (1, 2, 2))
+        assert merge(g, p, tuple(g.weight(c) for c in p)) == ((fs(2), fs(0, 1), fs(3, 4)), (1, 2, 2))
 
     def test_non_adjacent_rejected(self):
         g = path_graph(5)
         p = order3(g, [fs(0), fs(4), fs(1, 2, 3)])
-        assert merge(g, p) is None
+        assert merge(g, p, tuple(g.weight(c) for c in p)) is None
 
     def test_light_heavy_class_rejected(self):
         g = triangle_graph()
         p = order3(g, [fs(0), fs(1), fs(2)])
         with pytest.raises(ContractViolation):
-            merge(g, p)
+            merge(g, p, tuple(g.weight(c) for c in p))
 
 
 class TestPullCheck:
     def test_p5_first_class(self):
         g = path_graph(5)
         p = order3(g, [fs(0), fs(4), fs(1, 2, 3)])
-        assert pull_check(g, p, 1) == (fs(1), 1, fs(2, 3))
+        assert pull_check(g, p, 1, tuple(g.weight(c) for c in p)) == (fs(1), 1, fs(2, 3))
 
     def test_p5_second_class(self):
         g = path_graph(5)
         p = order3(g, [fs(0), fs(4), fs(1, 2, 3)])
-        assert pull_check(g, p, 2) == (fs(3), 1, fs(1, 2))
+        assert pull_check(g, p, 2, tuple(g.weight(c) for c in p)) == (fs(3), 1, fs(1, 2))
 
     def test_absent_matches_oracle(self):
         g = star_graph(5)
         p = order3(g, [fs(3), fs(4), fs(0, 1, 2)])
         for i in (1, 2):
-            assert pull_check(g, p, i) is None
+            assert pull_check(g, p, i, tuple(g.weight(c) for c in p)) is None
             assert oracle_pull_admissible(g, p, i) is None
-            assert pull(g, p, i) is None
+            assert pull(g, p, i, tuple(g.weight(c) for c in p)) is None
 
     def test_bad_class_index(self):
         g = path_graph(5)
         p = order3(g, [fs(0), fs(4), fs(1, 2, 3)])
         with pytest.raises(ContractViolation):
-            pull_check(g, p, 3)
+            pull_check(g, p, 3, tuple(g.weight(c) for c in p))
 
 
 class TestPull:
     def test_p5_trace(self):
         g = path_graph(5)
         p = order3(g, [fs(0), fs(4), fs(1, 2, 3)])
-        assert pull(g, p, 1) == ((fs(4), fs(0, 1), fs(2, 3)), (1, 2, 2))
+        assert pull(g, p, 1, tuple(g.weight(c) for c in p)) == ((fs(4), fs(0, 1), fs(2, 3)), (1, 2, 2))
 
 
 class TestInitialPartition:
@@ -323,10 +323,11 @@ def test_pull_check_complete_against_oracle():
             p = order3(g, p)
             if 2 * g.weight(p[2]) <= g.total_weight:
                 continue
-            merges += check_move(g, p, merge(g, p))
+            weights = tuple(g.weight(c) for c in p)
+            merges += check_move(g, p, merge(g, p, weights))
             for i in (1, 2):
-                pulls += check_move(g, p, pull(g, p, i))
-                found = pull_check(g, p, i)
+                pulls += check_move(g, p, pull(g, p, i, weights))
+                found = pull_check(g, p, i, weights)
                 slow = oracle_pull_admissible(g, p, i)
                 assert (found is None) == (slow is None)
                 if found is not None:
@@ -344,7 +345,8 @@ def test_broken_move_caught_once_per_solve(monkeypatch):
     """A move that breaks connectivity still raises, from the loop's one
     `order3` check on its terminal partition."""
     g = path_graph(5)
-    assert merge(g, initial_3partition(g)) is not None
+    p = initial_3partition(g)
+    assert merge(g, p, tuple(g.weight(c) for c in p)) is not None
     monkeypatch.setattr("bcp.minmax.split_two", lambda g, s: (fs(0, 2), fs(1)))
     with pytest.raises(ContractViolation, match="disconnected"):
         minmax_bcpk(g, 3)
@@ -375,29 +377,27 @@ def _check_moves_against_reference(g, p):
     reference; returns the reference's next loop state (or None)."""
     weights = tuple(g.weight(c) for c in p)
     expected = merge_resummed(g, p)
-    for carried in (None, weights):
-        got = merge(g, p, carried)
-        assert (got is None) == (expected is None)
-        if got is not None:
-            assert got == (expected, tuple(g.weight(c) for c in expected))
+    got = merge(g, p, weights)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got == (expected, tuple(g.weight(c) for c in expected))
     step = expected
     for i in (1, 2):
         u = pull_check_components(g, p, i)
         expected = pull_resummed(g, p, i)
-        for carried in (None, weights):
-            found = pull_check(g, p, i, carried)
-            assert found == (None if u is None else (u, g.weight(u), p[2] - u))
-            got = pull(g, p, i, carried)
-            assert (got is None) == (expected is None)
-            if got is not None:
-                assert got == (expected, tuple(g.weight(c) for c in expected))
+        found = pull_check(g, p, i, weights)
+        assert found == (None if u is None else (u, g.weight(u), p[2] - u))
+        got = pull(g, p, i, weights)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got == (expected, tuple(g.weight(c) for c in expected))
         step = step or expected
     return step
 
 
 @pytest.mark.parametrize("family", ["star", "spider", "grid", "tree", "sparse", "dense"])
 def test_moves_match_components_reference(family):
-    """merge, pull_check and pull, with carried weights and without, equal
+    """merge, pull_check and pull, given the carried class weights, equal
     the components-based moves on random heavy 3-partitions and along the
     whole improvement loop."""
     rng = random.Random(f"moves-{family}")
