@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -39,6 +39,10 @@ from .scaling import eps_minmax_bcpk
 
 BUDGET_ENV = "BCP_BUDGET_SECONDS"
 ALGORITHMS = ("minmax-bcpk", "eps-minmax-bcpk", "exact-minmax", "exact-maxmin", "fpt-maxmin")
+BENCH_COLUMNS = (
+    "instance_id", "n", "m", "k", "algorithm", "value", "bound_kind", "bound", "ratio",
+    "iterations", "cuts", "wall_ms",
+)
 
 
 @dataclass
@@ -54,22 +58,6 @@ class RunReport:
     iterations: int = 0
     cuts: int = 0
     model: FptModel | None = None
-
-
-@dataclass
-class BenchRecord:
-    instance_id: str
-    n: int
-    m: int
-    k: int
-    algorithm: str
-    value: int
-    bound_kind: str
-    bound: str
-    ratio: str
-    iterations: int
-    cuts: int
-    wall_ms: str
 
 
 def _budget_seconds() -> float | None:
@@ -263,7 +251,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_one(entry: object, index: int) -> BenchRecord:
+def _bench_one(entry: object, index: int) -> list[object]:
+    """One CSV row in BENCH_COLUMNS order."""
     if not isinstance(entry, dict):
         raise InputError(f"suite entry {index} must be an object")
     for key in ("family", "n", "k", "algorithm"):
@@ -290,24 +279,11 @@ def _bench_one(entry: object, index: int) -> BenchRecord:
     if algorithm == "eps-minmax-bcpk":
         epsilon = _parse_fraction(str(entry.get("epsilon", "1/2")))
     report = _run(g, k, algorithm, epsilon)
-
-    ratio = ""
-    if report.bound > 0:
-        ratio = f"{float(Fraction(report.value) / report.bound):.6f}"
-    return BenchRecord(
-        instance_id=instance_id,
-        n=g.n,
-        m=g.m,
-        k=k,
-        algorithm=algorithm,
-        value=report.value,
-        bound_kind=report.bound_kind,
-        bound=str(report.bound),
-        ratio=ratio,
-        iterations=report.iterations,
-        cuts=report.cuts,
-        wall_ms=f"{report.wall_ms:.1f}",
-    )
+    return [
+        instance_id, g.n, g.m, k, algorithm, report.value, report.bound_kind, report.bound,
+        f"{float(report.value / report.bound):.6f}", report.iterations, report.cuts,
+        f"{report.wall_ms:.1f}",
+    ]
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -320,14 +296,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     entries = suite.get("entries") if isinstance(suite, dict) else None
     if not isinstance(entries, list):
         raise InputError("suite must hold an 'entries' list")
-    records = [_bench_one(entry, i) for i, entry in enumerate(entries)]
-    names = [f.name for f in fields(BenchRecord)]
+    rows = [_bench_one(entry, i) for i, entry in enumerate(entries)]
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(names)
-        for record in records:
-            writer.writerow([getattr(record, name) for name in names])
-    print(f"wrote {len(records)} records to {args.out}")
+        writer.writerow(BENCH_COLUMNS)
+        writer.writerows(rows)
+    print(f"wrote {len(rows)} records to {args.out}")
     return 0
 
 

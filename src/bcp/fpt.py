@@ -31,13 +31,17 @@ from .partition import Partition, sort_classes
 
 
 def greedy_vertex_cover(g: WeightedGraph) -> VertexSet:
-    """Both endpoints of a greedily built maximal matching (a 2-approximate
-    cover), scanning edges in ascending order."""
+    """Both endpoints of a greedy maximal matching over the ascending edges,
+    less each one, taken ascending, whose neighbours all stay in the cover:
+    still a cover, and at most twice a minimum one."""
     cover: set[int] = set()
     for u, v in g.edges():
         if u not in cover and v not in cover:
             cover.add(u)
             cover.add(v)
+    for v in sorted(cover):
+        if cover.issuperset(g.adjacency[v]):
+            cover.discard(v)
     return frozenset(cover)
 
 
@@ -264,15 +268,14 @@ def separate(
 def reconstruct(
     g: WeightedGraph, dec: VertexCoverDecomposition, k: int, candidate: ModelCandidate
 ) -> Partition:
-    """Concrete connected k-partition from a model solution, classes ordered
-    by (size, min id); a disconnected class means separation was incomplete
-    and raises."""
-    classes = _decode_classes(dec, k, candidate)
-    out = sorted((frozenset(c) for c in classes), key=lambda c: (len(c), min(c) if c else -1))
-    for c in out:
-        if not c or not is_connected(g, c):
+    """Concrete connected k-partition from a model solution in `sort_classes`
+    order, which under uniform weights is (size, min id); a disconnected or
+    empty class means separation was incomplete and raises."""
+    classes = [frozenset(c) for c in _decode_classes(dec, k, candidate)]
+    for c in classes:
+        if not is_connected(g, c):
             raise ContractViolation(f"decoded class {sorted(c)} is not connected")
-    return tuple(out)
+    return sort_classes(g, classes)
 
 
 def _max_flow(

@@ -179,22 +179,17 @@ def _dfs_tree(
     neighbor ids explored first, plus the parent map of its spanning tree."""
     parent: dict[int, int] = {root: root}
     order = [root]
-    stack: list[Iterator[int]] = [iter(g.adjacency[root])]
-    path = [root]
+    stack: list[tuple[int, Iterator[int]]] = [(root, iter(g.adjacency[root]))]
     while stack:
-        it = stack[-1]
-        advanced = False
+        v, it = stack[-1]
         for w in it:
             if w in s and w not in parent:
-                parent[w] = path[-1]
+                parent[w] = v
                 order.append(w)
-                path.append(w)
-                stack.append(iter(g.adjacency[w]))
-                advanced = True
+                stack.append((w, iter(g.adjacency[w])))
                 break
-        if not advanced:
+        else:
             stack.pop()
-            path.pop()
     return order, parent
 
 

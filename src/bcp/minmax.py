@@ -60,14 +60,6 @@ class BcpkResult:
 Weights = tuple[int, int, int]
 
 
-def _require_ordered3(g: WeightedGraph, p: Partition) -> Weights:
-    """Class weights of p, checked to be a 3-partition in `sort_classes` order."""
-    keys = [(g.weight(c), min(c)) for c in p]
-    if len(keys) != 3 or keys != sorted(keys):
-        raise ContractViolation("expected a weight-ordered connected 3-partition")
-    return keys[0][0], keys[1][0], keys[2][0]
-
-
 def _ordered(classes: Partition, weights: Weights) -> tuple[Partition, Weights]:
     """Three classes and their weights in `sort_classes` order; a class's
     smallest id is looked up only to break a weight tie."""
@@ -156,7 +148,8 @@ def initial_3partition(g: WeightedGraph) -> Partition:
 
 
 def _improvement_loop(g: WeightedGraph, p: Partition) -> tuple[Partition, int]:
-    """Run merge/pull until w(V3) <= w(G)/2 or neither move applies.
+    """Run merge/pull from p, as `order3` returns it, until w(V3) <= w(G)/2
+    or neither move applies.
 
     Returns the terminal ordered partition and the iteration count; aborts if
     the heaviest weight ever fails to strictly decrease.  The moves build
@@ -166,7 +159,7 @@ def _improvement_loop(g: WeightedGraph, p: Partition) -> tuple[Partition, int]:
     """
     total = g.total_weight
     iterations = 0
-    weights = _require_ordered3(g, p)
+    weights = tuple(map(g.weight, p))
     while 2 * weights[2] > total:
         moved = merge(g, p, weights) or pull(g, p, 1, weights) or pull(g, p, 2, weights)
         if moved is None:
@@ -179,15 +172,9 @@ def _improvement_loop(g: WeightedGraph, p: Partition) -> tuple[Partition, int]:
         if iterations > total + 1:
             raise InternalError("improvement loop exceeded its w(G) bound")
     terminal = order3(g, p)
-    if terminal != p or _require_ordered3(g, terminal) != weights:
+    if terminal != p or tuple(map(g.weight, p)) != weights:
         raise InternalError("the carried class weights or order drifted")
     return terminal, iterations
-
-
-def minmax_bcp3(g: WeightedGraph) -> Partition:
-    """Ordered connected 3-partition with w+ <= (3/2) * optimum, and exactly
-    optimal whenever the returned heaviest class weighs more than w(G)/2."""
-    return _improvement_loop(g, initial_3partition(g))[0]
 
 
 def star_center_certificate(g: WeightedGraph, p: Partition) -> StarCenterCertificate:
@@ -199,8 +186,10 @@ def star_center_certificate(g: WeightedGraph, p: Partition) -> StarCenterCertifi
     V1.  A structure mismatch means the partition was not terminal (or the
     solver is buggy) and raises ContractViolation.
     """
-    w1, _, w3 = _require_ordered3(g, p)
+    if len(p) != 3 or sort_classes(g, p) != tuple(p):
+        raise ContractViolation("expected a weight-ordered connected 3-partition")
     v1, v2, v3 = p
+    w1, w3 = g.weight(v1), g.weight(v3)
     total = g.total_weight
     if 2 * w3 <= total:
         raise ContractViolation("star certificate needs w(V3) > w(G)/2")

@@ -22,11 +22,6 @@ def w_plus(g: WeightedGraph, p: Partition) -> int:
     return max(g.weight(c) for c in p)
 
 
-def w_minus(g: WeightedGraph, p: Partition) -> int:
-    """Weight of the lightest class."""
-    return min(g.weight(c) for c in p)
-
-
 def validate(g: WeightedGraph, p: Sequence[Iterable[int]], k: int) -> list[str]:
     """Report every way p fails to be a connected k-partition of g.
 

@@ -26,7 +26,52 @@ from bcp.graph import (
     is_connected,
     split_two,
 )
+from bcp.minmax import _improvement_loop, initial_3partition
 from bcp.partition import Partition, sort_classes
+
+
+def w_minus(g: WeightedGraph, p: Partition) -> int:
+    """Weight of the lightest class."""
+    return min(g.weight(c) for c in p)
+
+
+def minmax_bcp3(g: WeightedGraph) -> Partition:
+    """Ordered connected 3-partition with w+ <= (3/2) * optimum, and exactly
+    optimal whenever the returned heaviest class weighs more than w(G)/2."""
+    return _improvement_loop(g, initial_3partition(g))[0]
+
+
+def dfs_tree_recursive(
+    g: WeightedGraph, s: Iterable[int], root: int
+) -> tuple[list[int], dict[int, int]]:
+    """DFS preorder of G[s] from root, recursing into neighbours in
+    ascending id order, and the parent map of its tree (the root is its own
+    parent).  The fast path is bcp.graph._dfs_tree, which keeps its own
+    stack."""
+    inside = frozenset(s)
+    parent = {root: root}
+    order = [root]
+
+    def visit(v: int) -> None:
+        for w in sorted(g.adjacency[v]):
+            if w in inside and w not in parent:
+                parent[w] = v
+                order.append(w)
+                visit(w)
+
+    visit(root)
+    return order, parent
+
+
+def matching_cover(g: WeightedGraph) -> VertexSet:
+    """Both endpoints of the maximal matching built greedily over the edges
+    in ascending order: the cover bcp.fpt.greedy_vertex_cover starts from
+    before it drops redundant endpoints."""
+    cover: set[int] = set()
+    for u, v in g.edges():
+        if u not in cover and v not in cover:
+            cover.update((u, v))
+    return frozenset(cover)
 
 
 def oracle_pull_admissible(

@@ -17,7 +17,6 @@ from bcp.instances import write_instance
 from bcp.minmax import (
     BcpkResult,
     Certificate,
-    minmax_bcp3,
     minmax_bcpk,
     pull_check,
     star_center_certificate,
@@ -39,7 +38,7 @@ from .conftest import (
     random_connected_graph,
     star_graph,
 )
-from .reference import encode, oracle_pull_admissible, violated_cuts
+from .reference import encode, minmax_bcp3, oracle_pull_admissible, violated_cuts
 
 KS = (3, 4, 5)
 

@@ -23,12 +23,13 @@ from bcp.graph import WeightedGraph
 from bcp.oracle import enumerate_connected_kpartitions, exact_maxmin
 from bcp.partition import validate
 
-from .conftest import cycle_graph, grid_graph, path_graph, star_graph
+from .conftest import cycle_graph, grid_graph, path_graph, random_connected_graph, star_graph
 from .reference import (
     check_base,
     class_size,
     distribute_product,
     encode,
+    matching_cover,
     max_flow_network,
     reach_hyperedges,
     violated_cuts,
@@ -77,6 +78,23 @@ class TestDecompose:
             g = WeightedGraph.from_edges(n, edges)
             cover = greedy_vertex_cover(g)
             assert all(u in cover or v in cover for u, v in g.edges())
+
+    def test_greedy_cover_drops_redundant_endpoints(self):
+        rng = random.Random(6)
+        for _ in range(200):
+            n = rng.randint(2, 16)
+            g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n * (n - 1) // 2))
+            cover = greedy_vertex_cover(g)
+            assert all(u in cover or v in cover for u, v in g.edges())
+            assert cover <= matching_cover(g)
+            assert all(not cover.issuperset(g.adjacency[v]) for v in cover)
+
+    def test_ladder_without_cover_uses_one_side(self):
+        g, side = ladder(12)
+        assert greedy_vertex_cover(g) == frozenset(side)
+        result = solve_fpt_maxmin(g, 3)
+        assert result.model.dec.cover == tuple(side)
+        assert result.value == 8
 
 
 class TestBuildHypergraph:

@@ -47,12 +47,12 @@ CASES = [
      "7665b307bab6bdd1d5ca9563bbe6762673dd4954f2e2276d2a2911455905ac4b", None),
     ("fpt-tree-plus-edges", "tree-plus-edges", 12, (1, 1), 12,
      ["fpt-maxmin", "--k", "3", "--dump-model", "model.txt"],
-     "df99bcbf90a95f8c7c4d2b896d42c18dfe1e7e01756072b250f15bfebcf4afb8",
-     "f7ca6674351d716ff93d833969ef43ae1f09d2790be5ed4d1b7a72f36630bda0"),
+     "e7d35b11c89113902684db5e4ba22846aede2632c70e14c09e2a68df26b70a3d",
+     "cec62badd74f7b60b37fd23c57c53bd4fa41e90b752774ef26f76aefd1735c6f"),
     ("fpt-grid", "grid", 15, (1, 1), 13,
      ["fpt-maxmin", "--k", "3", "--dump-model", "model.txt"],
-     "7ae4e8793333558617ebc528ecf038a56ecf2c1a8f850d8fca2f52c1a5874839",
-     "3b60c8c2c68f67d41258198099cd018b54460363419f46749e5b7d2c6fe8fae1"),
+     "f5f3e5131ab12a82e6c266a0d4a6d9abfdc95ee5e77171cebac949d54b655f07",
+     "08b9199f150873aa2c619bc096602d2803b016a6c96546f1a84f907f93a1b5d3"),
 ]
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bcp.errors import ContractViolation, InputError
 from bcp.graph import (
     WeightedGraph,
+    _dfs_tree,
     boundary_neighbors,
     components,
     heaviest_piece,
@@ -14,16 +15,19 @@ from bcp.graph import (
     non_cut_vertex,
     split_two,
 )
+from bcp.instances import FAMILIES, generate
 from bcp.partition import sort_classes
 
 from .conftest import (
     connected_graphs,
     family_graph,
     path_graph,
+    random_connected_graph,
     spider_graph,
     star_graph,
     triangle_graph,
 )
+from .reference import dfs_tree_recursive
 
 
 def fs(*vs):
@@ -223,6 +227,28 @@ def test_components_agree_with_transitive_closure_oracle():
         size = rng.randint(1, n)
         s = frozenset(rng.sample(range(n), size))
         assert components(g, s) == _transitive_closure_components(g, s)
+
+
+def test_dfs_tree_matches_recursive_reference():
+    """Every connectivity primitive and `initial_3partition` read this
+    preorder and parent map, so they must be those of the textbook
+    recursive DFS, from any root and inside any subset."""
+    rng = random.Random(9)
+    graphs = [
+        generate(family, rng.randint(3, 400), (1, 1), seed)
+        for family in FAMILIES
+        for seed in range(8)
+    ]
+    for _ in range(16):
+        n = rng.randint(3, 40)
+        graphs.append(random_connected_graph(rng, n, extra_edges=n * (n - 1) // 3))
+    for g in graphs:
+        subsets = [frozenset(range(g.n)), _random_connected_subset(g, rng)]
+        for keep in (0.9, 0.6):
+            subsets.append(frozenset(v for v in range(g.n) if rng.random() < keep) or fs(0))
+        for s in subsets:
+            for root in (min(s), rng.choice(sorted(s))):
+                assert _dfs_tree(g, s, root) == dfs_tree_recursive(g, s, root)
 
 
 def _random_connected_subset(g, rng):

@@ -11,7 +11,6 @@ from bcp.minmax import (
     Certificate,
     initial_3partition,
     merge,
-    minmax_bcp3,
     minmax_bcpk,
     pull,
     pull_check,
@@ -31,6 +30,7 @@ from .conftest import (
 )
 from .reference import (
     merge_resummed,
+    minmax_bcp3,
     oracle_pull_admissible,
     pull_check_components,
     pull_resummed,

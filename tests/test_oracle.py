@@ -12,10 +12,10 @@ from bcp.oracle import (
     exact_maxmin,
     exact_minmax,
 )
-from bcp.partition import order3, validate, w_minus
+from bcp.partition import order3, validate
 
 from .conftest import connected_graphs, cycle_graph, path_graph, star_graph, triangle_graph
-from .reference import oracle_pull_admissible
+from .reference import oracle_pull_admissible, w_minus
 
 
 def fs(*vs):

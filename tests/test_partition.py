@@ -10,11 +10,11 @@ from bcp.partition import (
     cut_vertex_bound,
     order3,
     validate,
-    w_minus,
     w_plus,
 )
 
 from .conftest import connected_graphs, path_graph, star_graph
+from .reference import w_minus
 
 
 def fs(*vs):
