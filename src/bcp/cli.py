@@ -238,9 +238,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         if not line or line.startswith("c"):
             continue
         try:
-            classes.append(frozenset(int(tok) for tok in line.split()))
+            vertices = [int(tok) for tok in line.split()]
         except ValueError:
             raise ParseError("partition lines must hold vertex ids", line_no) from None
+        if len(set(vertices)) != len(vertices):
+            raise ParseError("a partition line lists a vertex twice", line_no)
+        classes.append(frozenset(vertices))
     report = validate(g, classes, len(classes))
     if report:
         for item in report:
@@ -270,6 +273,8 @@ def _bench_one(entry: object, index: int) -> list[object]:
     if algorithm not in ALGORITHMS:
         raise InputError(f"suite entry {index}: unknown algorithm {algorithm!r}")
     instance_id = entry.get("id", f"{family}-n{n}-s{seed}")
+    if not isinstance(instance_id, str):
+        raise InputError(f"suite entry {index}: id must be a string")
     try:
         g = generate(family, n, (lo, hi), seed)
     except ValueError as exc:

@@ -50,11 +50,8 @@ class VertexCoverDecomposition:
     graph: WeightedGraph
     cover: tuple[int, ...]
     stable: tuple[int, ...]
+    # Each nonempty I(S) by S, keys ascending by sorted(S), members ascending.
     classes_by_neighborhood: dict[VertexSet, tuple[int, ...]]
-
-    def neighborhood_sets(self) -> list[VertexSet]:
-        """Nonempty neighborhood classes in a fixed deterministic order."""
-        return sorted(self.classes_by_neighborhood, key=lambda s: tuple(sorted(s)))
 
 
 def decompose(g: WeightedGraph, cover: Iterable[int] | None = None) -> VertexCoverDecomposition:
@@ -80,7 +77,7 @@ def decompose(g: WeightedGraph, cover: Iterable[int] | None = None) -> VertexCov
         graph=g,
         cover=tuple(sorted(x)),
         stable=stable,
-        classes_by_neighborhood={s: tuple(sorted(vs)) for s, vs in groups.items()},
+        classes_by_neighborhood={s: tuple(groups[s]) for s in sorted(groups, key=sorted)},
     )
 
 
@@ -104,7 +101,7 @@ def build_hypergraph(dec: VertexCoverDecomposition, z: Iterable[int]) -> CutHype
         raise ContractViolation("Z must not be the whole cover")
     nodes = tuple(components(dec.graph, rest))
     edges = []
-    for s in dec.neighborhood_sets():
+    for s in dec.classes_by_neighborhood:
         touched = frozenset(i for i, comp in enumerate(nodes) if s & comp)
         edges.append((s, touched))
     return CutHypergraph(z=zset, nodes=nodes, edges=tuple(edges))
@@ -116,10 +113,6 @@ class ModelCandidate:
 
     x_class: dict[int, int]
     y: dict[VertexSet, tuple[int, ...]]
-
-    def y_val(self, s: VertexSet, i: int) -> int:
-        counts = self.y.get(s)
-        return counts[i] if counts is not None else 0
 
 
 @dataclass(frozen=True)
@@ -148,7 +141,7 @@ class CutConstraint:
     def satisfied_by(self, candidate: ModelCandidate) -> bool:
         i = self.class_index
         return not self.binds(candidate.x_class) or any(
-            candidate.y_val(s, i) >= 1 for s in self.hyperedges
+            candidate.y[s][i] >= 1 for s in self.hyperedges
         )
 
     def render(self) -> str:
@@ -167,7 +160,7 @@ class FptModel:
 
     dec: VertexCoverDecomposition
     k: int
-    cuts: list[CutConstraint] = field(default_factory=list)
+    cuts: dict[CutConstraint, None] = field(default_factory=dict)
 
     def dump(self) -> str:
         dec = self.dec
@@ -177,8 +170,8 @@ class FptModel:
             f"stable I = {list(dec.stable)}",
             "neighborhood classes:",
         ]
-        for s in dec.neighborhood_sets():
-            lines.append(f"  I({sorted(s)}) = {list(dec.classes_by_neighborhood[s])}")
+        for s, members in dec.classes_by_neighborhood.items():
+            lines.append(f"  I({sorted(s)}) = {list(members)}")
         nx = len(dec.cover) * self.k
         ny = len(dec.classes_by_neighborhood) * self.k
         lines.append(f"variables: {nx} binary x[v,i], {ny} integer y[S,i]")
@@ -197,31 +190,27 @@ def _decode_classes(
     dec: VertexCoverDecomposition, k: int, candidate: ModelCandidate
 ) -> list[set[int]]:
     """Concrete classes: cover vertices by x, then the y[S,i] lowest-id
-    unused members of each I(S) in class order."""
+    unused members of each I(S) in class order.  The counts must name
+    exactly the decomposition's groups."""
+    if candidate.y.keys() != dec.classes_by_neighborhood.keys():
+        raise ContractViolation("counts must be keyed by exactly the neighborhood classes")
     classes: list[set[int]] = [set() for _ in range(k)]
     for v, c in candidate.x_class.items():
         classes[c].add(v)
-    for s in sorted(candidate.y, key=lambda t: tuple(sorted(t))):
-        members = list(dec.classes_by_neighborhood.get(s, ()))
+    for s, members in dec.classes_by_neighborhood.items():
         counts = candidate.y[s]
-        if sum(counts) != len(members):
+        if min(counts) < 0 or sum(counts) != len(members):
             raise ContractViolation(
-                f"neighborhood {sorted(s)} distributes {sum(counts)} of {len(members)}"
+                f"neighborhood {sorted(s)} distributes {list(counts)} of {len(members)}"
             )
         at = 0
         for i, cnt in enumerate(counts):
-            for _ in range(cnt):
-                classes[i].add(members[at])
-                at += 1
+            classes[i].update(members[at : at + cnt])
+            at += cnt
     return classes
 
 
-def separate(
-    g: WeightedGraph,
-    dec: VertexCoverDecomposition,
-    k: int,
-    candidate: ModelCandidate,
-) -> list[CutConstraint]:
+def separate(dec: VertexCoverDecomposition, k: int, candidate: ModelCandidate) -> list[CutConstraint]:
     """Violated connectivity cuts of the candidate, one per disconnected
     class; empty iff every class decodes to a connected subgraph.
 
@@ -238,7 +227,7 @@ def separate(
     for i, members in enumerate(_decode_classes(dec, k, candidate)):
         if not members:
             continue
-        comps = components(g, frozenset(members))
+        comps = components(dec.graph, frozenset(members))
         if len(comps) == 1:
             continue
         x_in_class = members & xset
@@ -256,7 +245,7 @@ def separate(
         f_edges = frozenset(
             s
             for s in dec.classes_by_neighborhood
-            if candidate.y_val(s, i) == 0 and s & comp_u
+            if candidate.y[s][i] == 0 and s & comp_u
         )
         cut = CutConstraint(u=u, v=v, class_index=i, z=z, hyperedges=f_edges)
         if cut.satisfied_by(candidate):
@@ -265,17 +254,15 @@ def separate(
     return cuts
 
 
-def reconstruct(
-    g: WeightedGraph, dec: VertexCoverDecomposition, k: int, candidate: ModelCandidate
-) -> Partition:
+def reconstruct(dec: VertexCoverDecomposition, k: int, candidate: ModelCandidate) -> Partition:
     """Concrete connected k-partition from a model solution in `sort_classes`
     order, which under uniform weights is (size, min id); a disconnected or
     empty class means separation was incomplete and raises."""
     classes = [frozenset(c) for c in _decode_classes(dec, k, candidate)]
     for c in classes:
-        if not is_connected(g, c):
+        if not is_connected(dec.graph, c):
             raise ContractViolation(f"decoded class {sorted(c)} is not connected")
-    return sort_classes(g, classes)
+    return sort_classes(dec.graph, classes)
 
 
 def _max_flow(
@@ -453,7 +440,10 @@ class FptResult:
     classes: Partition
     model: FptModel
     nodes: int
-    cuts_added: int
+
+    @property
+    def cuts_added(self) -> int:
+        return len(self.model.cuts)
 
 
 def solve_fpt_maxmin(
@@ -485,11 +475,11 @@ def solve_fpt_maxmin(
         # gives a witness.
         classes = split_off_singletons(g, (frozenset(range(g.n)),), k - 1)
         return FptResult(
-            value=1, classes=sort_classes(g, classes), model=model, nodes=0, cuts_added=0
+            value=1, classes=sort_classes(g, classes), model=model, nodes=0
         )
 
-    sets = dec.neighborhood_sets()
-    counts = [len(dec.classes_by_neighborhood[s]) for s in sets]
+    sets = list(dec.classes_by_neighborhood)
+    counts = [len(members) for members in dec.classes_by_neighborhood.values()]
     pos_of = {v: p for p, v in enumerate(xs)}
     set_masks = [sum(1 << pos_of[v] for v in s) for s in sets]
 
@@ -498,7 +488,6 @@ def solve_fpt_maxmin(
 
     best_value = 0
     best_classes: Partition | None = None
-    pool_seen: set[CutConstraint] = set()
     nodes = 0
     # Cover positions by class; the first `used` classes are open.
     class_masks = [0] * k
@@ -543,15 +532,14 @@ def solve_fpt_maxmin(
             candidate = ModelCandidate(
                 x_class=x_of, y={s: tuple(alloc[j]) for j, s in enumerate(sets)}
             )
-            cuts = separate(g, dec, k, candidate)
+            cuts = separate(dec, k, candidate)
             if not cuts:
                 best_value = value
-                best_classes = reconstruct(g, dec, k, candidate)
+                best_classes = reconstruct(dec, k, candidate)
                 return
-            if not pool_seen.isdisjoint(cuts):
+            if any(cut in model.cuts for cut in cuts):
                 raise InternalError("separation repeated a pooled cut")
-            pool_seen.update(cuts)
-            model.cuts.extend(cuts)
+            model.cuts.update(dict.fromkeys(cuts))
             binding = cuts
 
     def dfs(pos: int, used: int) -> None:
@@ -582,5 +570,4 @@ def solve_fpt_maxmin(
         classes=best_classes,
         model=model,
         nodes=nodes,
-        cuts_added=len(model.cuts),
     )

@@ -214,7 +214,7 @@ def reach_hyperedges(
     fast path is bcp.fpt.separate."""
     hyper = build_hypergraph(dec, z)
     reach = {next(idx for idx, comp in enumerate(hyper.nodes) if u in comp)}
-    active = [touched for s, touched in hyper.edges if candidate.y_val(s, i) >= 1]
+    active = [touched for s, touched in hyper.edges if candidate.y[s][i] >= 1]
     grown = True
     while grown:
         grown = False
@@ -223,7 +223,7 @@ def reach_hyperedges(
                 reach |= touched
                 grown = True
     return frozenset(
-        s for s, touched in hyper.edges if candidate.y_val(s, i) == 0 and touched & reach
+        s for s, touched in hyper.edges if candidate.y[s][i] == 0 and touched & reach
     )
 
 

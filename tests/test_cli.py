@@ -158,6 +158,14 @@ class TestGenValidate:
         assert run_cli(["validate", path5, str(part)]) == 2
         assert "disconnected" in capsys.readouterr().out
 
+    def test_validate_rejects_repeated_vertex(self, tmp_path, capsys):
+        inst = tmp_path / "p3.bcp"
+        inst.write_text(write_instance(path_graph(3)))
+        part = tmp_path / "part.txt"
+        part.write_text("0 0 1\n2\n")
+        assert run_cli(["validate", str(inst), str(part)]) == 2
+        assert "line 1:" in capsys.readouterr().err
+
 
 class TestBench:
     def suite(self, tmp_path):
@@ -261,6 +269,7 @@ class TestBench:
             ({"entries": [{**good, "seed": 1.5}]}, "suite entry 0:"),
             ({"entries": [good, {**good, "weights": "19"}]}, "suite entry 1:"),
             ({"entries": [good, "tree"]}, "suite entry 1 must be an object"),
+            ({"entries": [{**good, "id": {"a": [1, 2]}}]}, "suite entry 0: id"),
         ]
         bad = tmp_path / "bad.json"
         for suite, message in suites:

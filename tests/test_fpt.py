@@ -89,6 +89,11 @@ class TestDecompose:
             assert cover <= matching_cover(g)
             assert all(not cover.issuperset(g.adjacency[v]) for v in cover)
 
+    def test_groups_ascend_by_sorted_members(self):
+        for g, cover in _explicit_cover_instances(random.Random(12), 40):
+            keys = [sorted(s) for s in decompose(g, cover).classes_by_neighborhood]
+            assert keys == sorted(keys)
+
     def test_ladder_without_cover_uses_one_side(self):
         g, side = ladder(12)
         assert greedy_vertex_cover(g) == frozenset(side)
@@ -133,7 +138,7 @@ class TestSeparate:
             x_class={1: 0, 3: 0},
             y={fs(1): (1, 0), fs(3): (1, 0), fs(1, 3): (0, 1)},
         )
-        cuts = separate(g, dec, 2, candidate)
+        cuts = separate(dec, 2, candidate)
         assert len(cuts) == 1
         cut = cuts[0]
         assert (cut.u, cut.v, cut.class_index) == (1, 3, 0)
@@ -148,7 +153,7 @@ class TestSeparate:
             x_class={1: 0, 3: 1},
             y={fs(1): (1, 0), fs(3): (0, 1), fs(1, 3): (1, 0)},
         )
-        assert separate(g, dec, 2, candidate) == []
+        assert separate(dec, 2, candidate) == []
 
     def test_bridge_present_yields_nothing(self):
         g = path_graph(5)
@@ -157,7 +162,7 @@ class TestSeparate:
             x_class={1: 0, 3: 0},
             y={fs(1): (1, 0), fs(3): (1, 0), fs(1, 3): (1, 0)},
         )
-        assert separate(g, dec, 2, candidate) == []
+        assert separate(dec, 2, candidate) == []
 
 
 class TestReconstruct:
@@ -167,20 +172,20 @@ class TestReconstruct:
         candidate = ModelCandidate(
             x_class={0: 0, 2: 1}, y={fs(0, 2): (1, 1)}
         )
-        assert reconstruct(g, dec, 2, candidate) == (fs(0, 1), fs(2, 3))
+        assert reconstruct(dec, 2, candidate) == (fs(0, 1), fs(2, 3))
 
     def test_single_class(self):
         g = path_graph(3)
         dec = decompose(g, [1])
         candidate = ModelCandidate(x_class={1: 0}, y={fs(1): (2,)})
-        assert reconstruct(g, dec, 1, candidate) == (fs(0, 1, 2),)
+        assert reconstruct(dec, 1, candidate) == (fs(0, 1, 2),)
 
     def test_bad_totals_rejected(self):
         g = cycle_graph(4)
         dec = decompose(g, [0, 2])
         candidate = ModelCandidate(x_class={0: 0, 2: 1}, y={fs(0, 2): (1, 0)})
         with pytest.raises(ContractViolation):
-            reconstruct(g, dec, 2, candidate)
+            reconstruct(dec, 2, candidate)
 
     def test_disconnected_decode_rejected(self):
         g = path_graph(5)
@@ -190,7 +195,22 @@ class TestReconstruct:
             y={fs(1): (1, 0), fs(3): (1, 0), fs(1, 3): (0, 1)},
         )
         with pytest.raises(ContractViolation):
-            reconstruct(g, dec, 2, candidate)
+            reconstruct(dec, 2, candidate)
+
+    @pytest.mark.parametrize("decode", [separate, reconstruct])
+    @pytest.mark.parametrize(
+        "y",
+        [
+            {fs(1): (1, 0), fs(3): (0, 1)},  # misses I({1, 3}) = {2}
+            {fs(1): (1, 0), fs(3): (0, 1), fs(1, 3): (1, 0), fs(0): (0, 0)},  # {0} is no group
+            {fs(1): (1, 0), fs(3): (0, 1), fs(1, 3): (-1, 2)},  # a negative count
+        ],
+    )
+    def test_counts_must_name_exactly_the_groups(self, decode, y):
+        dec = decompose(path_graph(5), [1, 3])
+        candidate = ModelCandidate(x_class={1: 0, 3: 1}, y=y)
+        with pytest.raises(ContractViolation):
+            decode(dec, 2, candidate)
 
 
 class TestEncode:
@@ -444,7 +464,7 @@ def test_separation_matches_hypergraph_reach_fixpoint():
                 counts[rng.choice(eligible)] += 1
             y[s] = tuple(counts)
         candidate = ModelCandidate(x_class=x_class, y=y)
-        for cut in separate(g, dec, k, candidate):
+        for cut in separate(dec, k, candidate):
             assert cut.hyperedges == reach_hyperedges(
                 dec, candidate, cut.class_index, cut.u, cut.z
             )
@@ -454,7 +474,7 @@ def test_separation_matches_hypergraph_reach_fixpoint():
 def _all_distributions(model, x_class, k):
     """Exhaustive y completions of a fixed cover assignment."""
     dec = model.dec
-    sets = dec.neighborhood_sets()
+    sets = list(dec.classes_by_neighborhood)
     per_set_choices = []
     for s in sets:
         members = dec.classes_by_neighborhood[s]
@@ -490,7 +510,7 @@ def test_distribution_is_optimal_against_exhaustive_search():
             if check_base(model, candidate):
                 continue
             best = max(best, min(class_size(candidate, i) for i in range(k)))
-        sets = dec.neighborhood_sets()
+        sets = list(dec.classes_by_neighborhood)
         counts = [len(dec.classes_by_neighborhood[s]) for s in sets]
         elig = [
             [i for i in range(k) if any(x_class[v] == i for v in s)] for s in sets
@@ -512,6 +532,13 @@ def test_all_oracle_encodings_satisfy_fired_cuts():
     for p in enumerate_connected_kpartitions(g, 2):
         candidate = encode(model, p)
         assert violated_cuts(model, candidate) == []
+
+
+def test_cut_count_is_the_dumped_pool():
+    for g, cover, k in [(hub_graph(), [1, 2, 5], 2), (*ladder(10), 4)]:
+        result = solve_fpt_maxmin(g, k, cover)
+        assert result.cuts_added == len(result.model.cuts) >= 1
+        assert f"cut pool ({result.cuts_added} cuts):" in result.model.dump().splitlines()
 
 
 def test_model_dump_mentions_cuts():
