@@ -106,8 +106,8 @@ def _run(
 ) -> RunReport:
     """Run one of ALGORITHMS under the BCP_BUDGET_SECONDS budget and time
     the solver call.  A min-max solve is bounded by the average weight, or
-    by the cut-vertex bound when the core of an unscaled star certificate is
-    the heaviest class; an exact solve by its own value."""
+    by the cut-vertex bound when the core of a star certificate is the
+    heaviest class; an exact solve by its own value."""
     max_seconds = _budget_seconds()
     if algorithm in ("minmax-bcpk", "eps-minmax-bcpk") and k == 2:
         raise InputError(
@@ -135,7 +135,7 @@ def _run(
     value = max(g.weight(c) for c in result.classes)
     bound_kind = "average"
     bound: Fraction = average_weight_bound(g, k)
-    if algorithm == "minmax-bcpk" and result.star is not None:  # set only on StarOptimal
+    if result.star is not None:  # set only on StarOptimal
         core = next(c for c in result.classes if result.star.u in c)
         if g.weight(core) == value:
             bound_kind = "cut-vertex"
@@ -148,7 +148,7 @@ def _run(
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = _load_graph(args.instance)
-    epsilon = _parse_fraction(args.epsilon) if args.epsilon else None
+    epsilon = _parse_fraction(args.epsilon) if args.epsilon is not None else None
     algorithm = "minmax-bcpk" if epsilon is None else "eps-minmax-bcpk"
     report = _run(g, args.k, algorithm, epsilon)
     print(f"instance: {args.instance} (n={g.n}, m={g.m}, W={g.total_weight})")
@@ -182,7 +182,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 def _cmd_fpt_maxmin(args: argparse.Namespace) -> int:
     g = _load_graph(args.instance)
     cover = None
-    if args.cover:
+    if args.cover is not None:
         try:
             cover = [int(tok) for tok in args.cover.split(",") if tok]
         except ValueError:
@@ -374,3 +374,7 @@ def run_cli(argv: Sequence[str]) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

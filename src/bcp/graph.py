@@ -20,7 +20,17 @@ class WeightedGraph:
     n: int
     adjacency: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
-    total_weight: int = field(default=0)
+    total_weight: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        """Check the weights and derive their total; the adjacency is taken
+        as given, so build graphs from outside input with `from_edges`."""
+        if len(self.weights) != self.n:
+            raise InputError(f"expected {self.n} weights, got {len(self.weights)}")
+        for v, w in enumerate(self.weights):
+            if not isinstance(w, int) or isinstance(w, bool) or w < 1:
+                raise InputError(f"vertex {v} has nonpositive weight {w}")
+        object.__setattr__(self, "total_weight", sum(self.weights))
 
     @classmethod
     def from_edges(
@@ -33,13 +43,6 @@ class WeightedGraph:
         and disconnected inputs."""
         if n < 1:
             raise InputError(f"vertex count must be >= 1, got {n}")
-        if weights is None:
-            weights = [1] * n
-        if len(weights) != n:
-            raise InputError(f"expected {n} weights, got {len(weights)}")
-        for v, w in enumerate(weights):
-            if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-                raise InputError(f"vertex {v} has nonpositive weight {w}")
         seen: set[tuple[int, int]] = set()
         neighbors: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
@@ -54,7 +57,7 @@ class WeightedGraph:
             neighbors[u].append(v)
             neighbors[v].append(u)
         adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
-        g = cls(n, adjacency, tuple(weights), sum(weights))
+        g = cls(n, adjacency, (1,) * n if weights is None else tuple(weights))
         if not is_connected(g, frozenset(range(n))):
             raise InputError("graph is not connected")
         return g
@@ -70,8 +73,8 @@ class WeightedGraph:
         return sum(self.weights[v] for v in s)
 
     def with_weights(self, weights: Sequence[int]) -> "WeightedGraph":
-        """Same topology, new weights (validated)."""
-        return WeightedGraph.from_edges(self.n, self.edges(), list(weights))
+        """Same topology, new weights (validated); the adjacency is shared."""
+        return WeightedGraph(self.n, self.adjacency, tuple(weights))
 
 
 def components(g: WeightedGraph, s: VertexSet) -> list[VertexSet]:

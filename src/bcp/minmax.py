@@ -47,6 +47,7 @@ class Certificate(Enum):
     RATIO_HALF_W = "RatioHalfW"      # heaviest class weighs at most w(G)/2
     SINGLETON_TOP = "SingletonTop"   # heaviest class is a single vertex
     STAR_OPTIMAL = "StarOptimal"     # built around a star-center cut vertex
+    SCALED = "Scaled"                # an eps run: only the k/2 + eps bound
 
 
 @dataclass(frozen=True)

@@ -8,36 +8,21 @@ rounding is exact integer arithmetic, so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractViolation, InputError
 from .graph import WeightedGraph
-from .minmax import BcpkResult, minmax_bcpk
+from .minmax import BcpkResult, Certificate, minmax_bcpk
+from .partition import sort_classes, w_plus
 
 
-@dataclass(frozen=True)
-class ScaledInstance:
-    base: WeightedGraph
-    theta: int
-    lam: Fraction
-    scaled_weights: tuple[int, ...]
-
-    def graph(self) -> WeightedGraph:
-        """The base topology under the scaled weights."""
-        return self.base.with_weights(self.scaled_weights)
-
-
-def scale(g: WeightedGraph, eps: Fraction) -> ScaledInstance:
-    """Build the min-max scaled instance; rejects eps <= 0."""
+def scale(g: WeightedGraph, eps: Fraction) -> WeightedGraph:
+    """g's topology under the scaled weights; rejects eps <= 0."""
     eps = Fraction(eps)
     if eps <= 0:
         raise InputError(f"epsilon must be positive, got {eps}")
-    theta = max(g.weights)
-    lam = eps * theta / g.n
-    scaled = tuple(math.ceil(Fraction(w) / lam) for w in g.weights)
-    return ScaledInstance(g, theta, lam, scaled)
+    lam = eps * max(g.weights) / g.n
+    return g.with_weights([-(-w * lam.denominator // lam.numerator) for w in g.weights])
 
 
 def eps_minmax_bcpk(g: WeightedGraph, k: int, eps_prime: Fraction) -> BcpkResult:
@@ -45,11 +30,15 @@ def eps_minmax_bcpk(g: WeightedGraph, k: int, eps_prime: Fraction) -> BcpkResult
 
     Scales with eps = eps'/(k/2), solves the scaled instance with the
     pseudo-polynomial k/2-approximation, and returns that partition; its
-    guarantee holds under the original weights.
+    guarantee holds under the original weights.  The certificate is read
+    under those weights too: RatioHalfW when it holds there, else Scaled.
     """
     if not 3 <= k <= g.n:
         raise ContractViolation(f"k must be in [3, {g.n}], got {k}")
     eps_prime = Fraction(eps_prime)
     if eps_prime <= 0:
         raise InputError(f"epsilon must be positive, got {eps_prime}")
-    return minmax_bcpk(scale(g, eps_prime / Fraction(k, 2)).graph(), k)
+    result = minmax_bcpk(scale(g, eps_prime / Fraction(k, 2)), k)
+    half = 2 * w_plus(g, result.classes) <= g.total_weight
+    cert = Certificate.RATIO_HALF_W if half else Certificate.SCALED
+    return BcpkResult(sort_classes(g, result.classes), cert, None, result.iterations)

@@ -173,8 +173,7 @@ def test_criterion_05_scaling_ratio(suite1):
         opt, _ = exact_minmax(g, r.k)
         for eps_p in (Fraction(1, 10), Fraction(1, 2)):
             eps = eps_p / Fraction(r.k, 2)
-            inst = scale(g, eps)
-            assert sum(inst.scaled_weights) <= Fraction(g.n * g.n, eps) + g.n
+            assert scale(g, eps).total_weight <= Fraction(g.n * g.n, eps) + g.n
             result = eps_minmax_bcpk(g, r.k, eps_p)
             assert validate(g, result.classes, r.k) == []
             got = Fraction(w_plus(g, result.classes))

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bcp.cli
 from bcp.cli import run_cli
-from bcp.instances import generate, write_instance
+from bcp.instances import generate, parse_instance, write_instance
 
 from .conftest import connected_graphs, path_graph, star_graph
 
@@ -71,6 +75,9 @@ class TestSolve:
     def test_bad_epsilon(self, star5):
         assert run_cli(["solve", star5, "--k", "3", "--epsilon", "zero"]) == 2
 
+    def test_empty_epsilon(self, star5):
+        assert run_cli(["solve", star5, "--k", "3", "--epsilon", ""]) == 2
+
     def test_missing_file(self, tmp_path):
         assert run_cli(["solve", str(tmp_path / "nope.bcp"), "--k", "3"]) == 2
 
@@ -123,6 +130,9 @@ class TestFptMaxmin:
 
     def test_bad_cover(self, path4):
         assert run_cli(["fpt-maxmin", path4, "--k", "2", "--cover", "0,3"]) == 2
+
+    def test_empty_cover(self, path4):
+        assert run_cli(["fpt-maxmin", path4, "--k", "2", "--cover", ""]) == 2
 
     def test_weighted_rejected(self, tmp_path):
         inst = tmp_path / "w.bcp"
@@ -295,6 +305,19 @@ def test_malformed_budget_rejected_by_every_solving_command(
     monkeypatch.setenv("BCP_BUDGET_SECONDS", "nan")
     assert run_cli(argv) == 2
     assert "BCP_BUDGET_SECONDS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["bcp", "bcp.cli"])
+def test_python_m_runs_the_cli(module, tmp_path):
+    src = Path(bcp.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = tmp_path / "g.bcp"
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "gen", "--family", "star", "--n", "5", "--out", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert parse_instance(out.read_text()).n == 5
 
 
 def test_no_command_is_exit_2():

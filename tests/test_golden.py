@@ -35,7 +35,7 @@ CASES = [
      "9847f44cb43674c867b6fc99fd787d4c73c8aeb7737c7722c2027dedf1c15f33", None),
     ("solve-eps-star", "star", 25, (1, 9), 8,
      ["solve", "--k", "4", "--epsilon", "1/2"],
-     "f3235101e20005d2fb5cdf49131074b3f2830696d5e5c55aacfd1fa2535be4b2", None),
+     "b9e75145ed5baa50ec55b53c08ff083c4bc605ff5bd6c60f1a5c42c428f5594e", None),
     ("exact-minmax", "tree-plus-edges", 10, (1, 9), 9,
      ["exact", "--objective", "minmax", "--k", "3"],
      "57f354fcfd9e27eaf167c767950e34b8e15e8c2c5d8cfb59752f5496dfb27ea8", None),

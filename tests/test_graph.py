@@ -16,7 +16,8 @@ from bcp.graph import (
     split_two,
 )
 from bcp.instances import FAMILIES, generate
-from bcp.partition import sort_classes
+from bcp.minmax import minmax_bcpk
+from bcp.partition import sort_classes, validate
 
 from .conftest import (
     connected_graphs,
@@ -57,6 +58,28 @@ class TestConstruction:
         assert g.total_weight == 10
         assert g.m == 2
         assert g.edges() == [(0, 1), (0, 2)]
+
+    def test_direct_construction_derives_total_weight(self):
+        g = WeightedGraph(4, ((1,), (0, 2), (1, 3), (2,)), (1, 1, 1, 1))
+        assert g.total_weight == 4
+        result = minmax_bcpk(g, 3)
+        assert validate(g, result.classes, 3) == []
+
+    @pytest.mark.parametrize("weights", [(1, 0), (1, True), (1,), (1, 1, 1)])
+    def test_direct_construction_rejects_bad_weights(self, weights):
+        with pytest.raises(InputError):
+            WeightedGraph(2, ((1,), (0,)), weights)
+
+    def test_with_weights_shares_topology(self):
+        g = path_graph(4)
+        h = g.with_weights([3, 1, 4, 1])
+        assert h.adjacency is g.adjacency
+        assert (h.weights, h.total_weight) == ((3, 1, 4, 1), 9)
+
+    @pytest.mark.parametrize("weights", [[1, 0, 1, 1], [1, True, 1, 1], [1, 1, 1], [1] * 5])
+    def test_with_weights_rejects_bad_weights(self, weights):
+        with pytest.raises(InputError):
+            path_graph(4).with_weights(weights)
 
 
 class TestComponents:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,10 @@ from hypothesis import given, settings
 
 from bcp.errors import InputError
 from bcp.graph import WeightedGraph
-from bcp.minmax import minmax_bcpk
+from bcp.instances import generate
+from bcp.minmax import Certificate, minmax_bcpk
 from bcp.oracle import exact_minmax
-from bcp.partition import validate, w_plus
+from bcp.partition import sort_classes, validate, w_plus
 from bcp.scaling import eps_minmax_bcpk, scale
 
 from .conftest import connected_graphs, path_graph, star_graph
@@ -20,15 +22,12 @@ def four_vertex_graph(weights):
 class TestScale:
     def test_minmax_example(self):
         g = four_vertex_graph([100, 40, 25, 13])
-        inst = scale(g, Fraction(1, 2))
-        assert inst.theta == 100
-        assert inst.lam == Fraction(25, 2)
-        assert inst.scaled_weights == (8, 4, 2, 2)
+        assert Fraction(1, 2) * max(g.weights) / g.n == Fraction(25, 2)  # lambda
+        assert scale(g, Fraction(1, 2)).weights == (8, 4, 2, 2)
 
     def test_unit_weights_scale_uniformly(self):
         g = path_graph(5)
-        inst = scale(g, Fraction(1, 3))
-        assert inst.scaled_weights == (15,) * 5  # ceil(n/eps)
+        assert scale(g, Fraction(1, 3)).weights == (15,) * 5  # ceil(n/eps)
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(InputError):
@@ -38,7 +37,7 @@ class TestScale:
 
     def test_scaled_graph_keeps_topology(self):
         g = four_vertex_graph([100, 40, 25, 13])
-        scaled = scale(g, Fraction(1, 2)).graph()
+        scaled = scale(g, Fraction(1, 2))
         assert scaled.edges() == g.edges()
         assert scaled.weights == (8, 4, 2, 2)
 
@@ -47,11 +46,13 @@ class TestScale:
 @settings(max_examples=60)
 def test_sandwich_and_size_bound(g):
     for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(2)):
-        inst = scale(g, eps)
-        for w, w_hat in zip(g.weights, inst.scaled_weights):
-            assert Fraction(w) / inst.lam <= w_hat <= Fraction(w) / inst.lam + 1
+        lam = eps * max(g.weights) / g.n
+        scaled = scale(g, eps)
+        for w, w_hat in zip(g.weights, scaled.weights):
+            assert Fraction(w) / lam <= w_hat <= Fraction(w) / lam + 1
             assert w_hat >= 1
-        assert sum(inst.scaled_weights) <= Fraction(g.n * g.n, eps) + g.n
+            assert w_hat == math.ceil(Fraction(w) / lam)
+        assert scaled.total_weight <= Fraction(g.n * g.n, eps) + g.n
 
 
 class TestEpsMinmax:
@@ -97,6 +98,24 @@ class TestEpsMinmax:
         with pytest.raises(InputError):
             eps_minmax_bcpk(path_graph(5), 3, Fraction(-1))
 
+    def test_star_certificate_is_not_claimed(self):
+        # The scaled run ends on a star certificate, but under the input's
+        # weights its partition is not optimal.
+        g = generate("star", 9, (1, 1000), 2)
+        result = eps_minmax_bcpk(g, 3, Fraction(4))
+        assert w_plus(g, result.classes) == 3417
+        assert exact_minmax(g, 3)[0] == 3209
+        assert result.certificate is Certificate.SCALED
+        assert result.star is None
+
+    def test_ratio_half_w_is_read_under_input_weights(self):
+        g = generate("random-tree", 10, (1, 10**6), 3)
+        result = eps_minmax_bcpk(g, 3, Fraction(8))
+        assert w_plus(g, result.classes) == 2826405
+        assert 2 * 2826405 > g.total_weight
+        assert result.certificate is Certificate.SCALED
+        assert result.classes == sort_classes(g, result.classes)
+
 
 @given(connected_graphs(min_n=3, max_n=7, max_weight=10**5))
 @settings(max_examples=40)
@@ -109,4 +128,7 @@ def test_eps_ratio_against_oracle(g):
         opt, _ = exact_minmax(g, k)
         bound = (Fraction(k, 2) + eps_p) * opt
         assert Fraction(w_plus(g, result.classes)) <= bound
+        if result.certificate is Certificate.RATIO_HALF_W:
+            assert 2 * w_plus(g, result.classes) <= g.total_weight
+        assert result.star is None
 
