@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -310,7 +311,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `bcp` argument parser, built once per process and shared by every
+    `run_cli` call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bcp", description="Balanced connected k-partition toolkit"
     )

@@ -7,7 +7,7 @@ path the package takes.
 import random
 from collections import Counter, deque
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from bcp.errors import BudgetExceeded, ContractViolation
 from bcp.fpt import (
@@ -27,6 +27,7 @@ from bcp.graph import (
     split_two,
 )
 from bcp.minmax import _improvement_loop, initial_3partition
+from bcp.oracle import enumerate_connected_kpartitions
 from bcp.partition import Partition, sort_classes
 
 
@@ -39,6 +40,24 @@ def minmax_bcp3(g: WeightedGraph) -> Partition:
     """Ordered connected 3-partition with w+ <= (3/2) * optimum, and exactly
     optimal whenever the returned heaviest class weighs more than w(G)/2."""
     return _improvement_loop(g, initial_3partition(g))[0]
+
+
+def exhaustive_optimum(
+    g: WeightedGraph, k: int, objective: Callable[[Iterable[int]], int]
+) -> tuple[int, Partition]:
+    """Optimum of the class-weight objective (max minimized, min maximized)
+    over every connected k-partition, with the lexicographically smallest
+    class signature among the optima as witness.  The fast path is
+    bcp.oracle._optimum, which bounds the search by its incumbent."""
+    flip = 1 if objective is max else -1
+    best: tuple[int, tuple, Partition] | None = None
+    for p in enumerate_connected_kpartitions(g, k):
+        value = objective(g.weight(c) for c in p)
+        sig = tuple(sorted(tuple(sorted(c)) for c in p))
+        if best is None or (flip * value, sig) < (flip * best[0], best[1]):
+            best = (value, sig, p)
+    assert best is not None
+    return best[0], best[2]
 
 
 def dfs_tree_recursive(

@@ -104,6 +104,25 @@ class TestExact:
         assert run_cli(["exact", path5, "--objective", "minmax", "--k", "3"]) == 2
         assert "BCP_BUDGET_SECONDS" in capsys.readouterr().err
 
+    def test_parser_is_reused_after_a_bad_call(self, path5, capsys):
+        argv = ["exact", path5, "--objective", "maxmin", "--k", "3"]
+        assert bcp.cli.build_parser() is bcp.cli.build_parser()
+        assert run_cli(["exact", path5, "--objective", "sideways", "--k", "3"]) == 2
+        capsys.readouterr()
+        assert run_cli(argv) == 0
+        here = capsys.readouterr().out
+        src = Path(bcp.__file__).resolve().parent.parent
+        fresh = subprocess.run(
+            [sys.executable, "-m", "bcp", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+
+        def timeless(out):
+            return [line for line in out.splitlines() if not line.startswith("time-ms:")]
+
+        assert timeless(here) == timeless(fresh.stdout)
+
     def test_oversize_instance_is_budget_error(self, tmp_path):
         big = tmp_path / "big.bcp"
         big.write_text(write_instance(path_graph(20)))

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -14,8 +15,15 @@ from bcp.oracle import (
 )
 from bcp.partition import order3, validate
 
-from .conftest import connected_graphs, cycle_graph, path_graph, star_graph, triangle_graph
-from .reference import oracle_pull_admissible, w_minus
+from .conftest import (
+    connected_graphs,
+    cycle_graph,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+    triangle_graph,
+)
+from .reference import exhaustive_optimum, oracle_pull_admissible, w_minus
 
 
 def fs(*vs):
@@ -56,6 +64,16 @@ class TestEnumeration:
             count = sum(1 for _ in enumerate_connected_kpartitions(g, k))
             assert count == comb(n - 1, k - 1)
 
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_cycle_and_star_counts(self, n):
+        # A cycle splits by cutting k of its n edges (k >= 2); a star keeps
+        # its centre in one class, and k - 1 leaves stand alone.
+        for k in range(2, n + 1):
+            cycle = enumerate_connected_kpartitions(cycle_graph(n), k)
+            star = enumerate_connected_kpartitions(star_graph(n), k)
+            assert sum(1 for _ in cycle) == comb(n, k)
+            assert sum(1 for _ in star) == comb(n - 1, k - 1)
+
     def test_vertex_budget(self):
         g = path_graph(MAX_VERTICES + 1)
         with pytest.raises(BudgetExceeded):
@@ -76,6 +94,21 @@ class TestEnumeration:
     def test_k_out_of_range(self):
         with pytest.raises(ContractViolation):
             list(enumerate_connected_kpartitions(path_graph(3), 4))
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda g: list(enumerate_connected_kpartitions(g, 2, max_seconds=0.0)),
+        lambda g: exact_minmax(g, 2, max_seconds=0.0),
+        lambda g: exact_maxmin(g, 2, max_seconds=0.0),
+    ],
+    ids=["enumerate", "exact_minmax", "exact_maxmin"],
+)
+def test_zero_budget_stops_a_small_search(search):
+    # Five vertices make far fewer search nodes than the clock's stride.
+    with pytest.raises(BudgetExceeded):
+        search(path_graph(5))
 
 
 class TestExactValues:
@@ -109,6 +142,19 @@ class TestExactValues:
             assert validate(g, witness, k) == []
             _, witness = exact_maxmin(g, k)
             assert validate(g, witness, k) == []
+
+
+@pytest.mark.parametrize("max_weight", [1, 9, 1000], ids=["1:1", "1:9", "1:1000"])
+def test_bounded_optimum_matches_exhaustive(max_weight):
+    # The bounded search cuts only strictly worse branches, so value and
+    # witness (the smallest signature among the optima) must not change.
+    rng = random.Random(f"oracle-bound:{max_weight}")
+    for n in range(2, 11):
+        for _ in range(6):
+            g = random_connected_graph(rng, n, max_weight)
+            for k in range(2, min(5, n) + 1):
+                assert exact_minmax(g, k) == exhaustive_optimum(g, k, max)
+                assert exact_maxmin(g, k) == exhaustive_optimum(g, k, min)
 
 
 @given(connected_graphs(min_n=2, max_n=7))
