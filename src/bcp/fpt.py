@@ -315,7 +315,7 @@ def _max_flow(
 
 
 def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
+    if deadline is not None and time.monotonic() >= deadline:
         raise BudgetExceeded("max-min solve time budget exceeded")
 
 
@@ -383,7 +383,7 @@ def _distribute(
     once a branch reaches the bound.  Returns the best (value, allocation),
     leftover units handed to the smallest eligible classes, or None when
     nothing strictly beats floor (with floor -1, when the covers are
-    unsatisfiable); raises BudgetExceeded once time.monotonic() passes the
+    unsatisfiable); raises BudgetExceeded once time.monotonic() reaches the
     deadline.
     """
     k = len(bases)
@@ -465,7 +465,11 @@ def solve_fpt_maxmin(
         raise InputError("max-min solver handles uniform weights only")
     if not 2 <= k <= g.n:
         raise InputError(f"k must be in [2, {g.n}], got {k}")
+    deadline = time.monotonic() + max_seconds if max_seconds is not None else None
     dec = decompose(g, cover)
+    # Once the input is checked, and before any shortcut, so a zero budget
+    # stops every solve.
+    _check_deadline(deadline)
     model = FptModel(dec=dec, k=k)
     xs = list(dec.cover)
 
@@ -484,7 +488,6 @@ def solve_fpt_maxmin(
     set_masks = [sum(1 << pos_of[v] for v in s) for s in sets]
 
     cap_value = g.n // k
-    deadline = time.monotonic() + max_seconds if max_seconds is not None else None
 
     best_value = 0
     best_classes: Partition | None = None

@@ -1,16 +1,20 @@
 """Exhaustive ground truth for small instances.
 
 Enumerates every connected k-partition exactly once (classes unordered) via
-restricted-growth assignment over vertices in id order, pruning branches as
-soon as a class can no longer become connected.
+restricted-growth assignment over vertices in id order, keeping only those
+whose every class weighs within a window [lo, hi].  One rule cuts a node:
+a class is heavier than hi; a closed class (no unassigned neighbour, so it
+never changes again) is lighter than lo or disconnected; or the unassigned
+weight is below the need, (k - opened)·lo plus what the open classes lack
+of lo, or above the room, (k - opened)·hi plus what they may still take up
+to hi.  Enumeration runs the window [0, w(G)], which cuts no completion.
 
-The exact min-max / max-min optima run the same search as a branch and
-bound: the best value found so far, B, cuts every branch whose completions
-are all strictly worse than B.  A branch that can only tie B is kept, so
-every optimal partition is still reached and the witness is still the
-optimum with the lexicographically smallest class signature.  Cutting ties
-too would prune far more where ties dominate (unit weights), but it would
-change which witness is found.
+The exact optima run the same search as a branch and bound from [0, w(G)]:
+min-max lowers hi, and max-min raises lo, to each better value found.  The
+window is closed, so every optimal partition is still reached and the
+witness is still the optimum with the lexicographically smallest class
+signature.  Cutting ties too would prune far more where ties dominate (unit
+weights), but it would change which witness is found.
 """
 
 from __future__ import annotations
@@ -54,24 +58,16 @@ def enumerate_connected_kpartitions(
     Classes are unordered; symmetry is killed by keeping vertex 0 in the
     first class and opening new classes only in index order.
     """
-    # Every lightest class weighs at least 0, so a floor of 0 cuts nothing.
-    for _, p in _search(g, k, max_seconds, min, [0]):
+    for _, p in _search(g, k, max_seconds, [0, g.total_weight]):
         yield p
 
 
 def _search(
-    g: WeightedGraph,
-    k: int,
-    max_seconds: float | None,
-    objective: Callable[[Iterable[int]], int],
-    bound: list[int],
-) -> Iterator[tuple[int, Partition]]:
-    """Yield (objective over the class weights, partition) for each connected
-    k-partition of g whose value is not strictly worse than bound[0].
-
-    max (heaviest class) is minimized, min (lightest class) maximized.  The
-    caller may tighten bound[0] between yields; each node reads it afresh.
-    """
+    g: WeightedGraph, k: int, max_seconds: float | None, window: list[int]
+) -> Iterator[tuple[tuple[int, ...], Partition]]:
+    """Yield (class weights, partition) for each connected k-partition of g
+    whose every class weighs within window = [lo, hi].  The caller may
+    narrow the window between yields; each node reads it afresh."""
     n = g.n
     if not 1 <= k <= n:
         raise ContractViolation(f"k must be in [1, {n}], got {k}")
@@ -84,7 +80,6 @@ def _search(
     rest = [0] * (n + 1)  # rest[v]: weight of the unassigned vertices v..n-1
     for v in range(n - 1, -1, -1):
         rest[v] = rest[v + 1] + weight[v]
-    minimize = objective is max
     full = (1 << n) - 1
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
     yielded = 0
@@ -101,60 +96,42 @@ def _search(
             known[m] = 1 + _mask_connected(nbr, m)
         return known[m] == 2
 
-    def decode() -> Partition:
-        return tuple(
-            frozenset(v for v in range(n) if m >> v & 1) for m in masks
-        )
-
-    def recurse(v: int) -> Iterator[tuple[int, Partition]]:
+    def recurse(v: int) -> Iterator[tuple[tuple[int, ...], Partition]]:
         nonlocal yielded, ticks
         ticks += 1
         # The first node reads the clock too, so a small search still
         # honours its deadline.
         if deadline is not None and ticks % 512 == 1 and time.monotonic() >= deadline:
             raise BudgetExceeded("enumeration time budget exceeded")
-        b = bound[0]
-        if v == n:  # k classes: every node leaves enough vertices to open them
-            value = objective(weights)
-            if (value <= b if minimize else value >= b) and all(
-                connected(m) for m in masks
-            ):
-                yielded += 1
-                if yielded > MAX_PARTITIONS:
-                    raise BudgetExceeded(f"more than {MAX_PARTITIONS} partitions")
-                yield value, decode()
-            return
+        lo, hi = window
         opened = len(masks)
         unassigned = full & ~((1 << v) - 1)
-        # A class with no unassigned neighbor is closed: it can never change
-        # again, so if it is disconnected now the whole branch is dead.  The
-        # other cuts drop only branches whose every completion is strictly
-        # worse than b.  Slack is, for min-max, the weight the classes may
-        # still take without passing b; for max-min, the weight they still
-        # lack to reach b.  Both count the classes not yet opened.
-        slack = (k - opened) * b
-        if minimize:
-            for m, nb, wc in zip(masks, nbrs, weights):
-                if wc > b:
-                    return
-                if nb & unassigned:
-                    slack += b - wc
-                elif not connected(m):
-                    return
-            if rest[v] > slack:
+        # The window rule of the module docstring; at a leaf every class is
+        # closed and need = room = 0.
+        need = (k - opened) * lo
+        room = (k - opened) * hi
+        for m, nb, wc in zip(masks, nbrs, weights):
+            if wc > hi:
                 return
-        else:
-            for m, nb, wc in zip(masks, nbrs, weights):
-                if nb & unassigned:
-                    if wc < b:
-                        slack += b - wc
-                elif wc < b or not connected(m):
-                    return
-            if rest[v] < slack:
+            if nb & unassigned:
+                room += hi - wc
+                if wc < lo:
+                    need += lo - wc
+            elif wc < lo or not connected(m):
                 return
+        if not need <= rest[v] <= room:
+            return
+        if v == n:  # k classes: every node leaves enough vertices to open them
+            yielded += 1
+            if yielded > MAX_PARTITIONS:
+                raise BudgetExceeded(f"more than {MAX_PARTITIONS} partitions")
+            yield tuple(weights), tuple(
+                frozenset(u for u in range(n) if m >> u & 1) for m in masks
+            )
+            return
         bit = 1 << v
         wv = weight[v]
-        cap = b - wv if minimize else rest[0]  # heaviest class that may take v
+        cap = hi - wv  # heaviest class that may take v
         # v may join a class only if the n - v - 1 vertices after it can
         # still open the classes missing.
         for c in range(opened if opened + (n - v) > k else 0):
@@ -191,21 +168,20 @@ def _optimum(
     objective: Callable[[Iterable[int]], int],
 ) -> tuple[int, Partition]:
     """Optimum over all connected k-partitions of the class-weight objective:
-    max (heaviest class) is minimized, min (lightest class) maximized.
-
-    The search starts from a bound that every partition meets (w(G) for
-    min-max, 0 for max-min) and is then bounded by the best value so far.
-    It never yields a worse value, so each value ties or improves the best.
-    """
-    bound = [g.total_weight if objective is max else 0]
+    max (heaviest class) is minimized by lowering hi, min (lightest class)
+    maximized by raising lo.  The window never admits a worse value, so
+    each value ties or improves the best."""
+    window = [0, g.total_weight]
+    side = 1 if objective is max else 0
     best: tuple[tuple, Partition] | None = None
-    for value, p in _search(g, k, max_seconds, objective, bound):
+    for weights, p in _search(g, k, max_seconds, window):
+        value = objective(weights)
         sig = _signature(p)
-        if best is None or value != bound[0] or sig < best[0]:
-            bound[0] = value
+        if best is None or value != window[side] or sig < best[0]:
+            window[side] = value
             best = (sig, p)
     assert best is not None  # every connected graph has a connected k-partition
-    return bound[0], best[1]
+    return window[side], best[1]
 
 
 def exact_minmax(

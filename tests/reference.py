@@ -60,6 +60,28 @@ def exhaustive_optimum(
     return best[0], best[2]
 
 
+def all_connected_kpartitions(g: WeightedGraph, k: int) -> list[Partition]:
+    """Every connected k-partition of g: each restricted-growth string of
+    the vertices into exactly k blocks (vertex v's block is at most one
+    more than the largest before it), kept when every block is connected.
+    The fast path is bcp.oracle._search, which prunes as it grows."""
+    found = []
+
+    def grow(labels: list[int], blocks: int) -> None:
+        if len(labels) == g.n:
+            classes = tuple(
+                frozenset(v for v, b in enumerate(labels) if b == c) for c in range(blocks)
+            )
+            if blocks == k and all(is_connected(g, c) for c in classes):
+                found.append(classes)
+            return
+        for b in range(min(blocks + 1, k)):
+            grow(labels + [b], max(blocks, b + 1))
+
+    grow([0], 1)
+    return found
+
+
 def dfs_tree_recursive(
     g: WeightedGraph, s: Iterable[int], root: int
 ) -> tuple[list[int], dict[int, int]]:

@@ -153,6 +153,17 @@ class TestFptMaxmin:
     def test_empty_cover(self, path4):
         assert run_cli(["fpt-maxmin", path4, "--k", "2", "--cover", ""]) == 2
 
+    def test_non_integer_cover(self, path4, capsys):
+        assert run_cli(["fpt-maxmin", path4, "--k", "2", "--cover", "0,x"]) == 2
+        assert "bad cover list '0,x'" in capsys.readouterr().err
+
+    def test_zero_budget_stops_k_above_cover(self, star5, monkeypatch):
+        # The star's cover is its centre, so k=2 takes the shortcut that
+        # builds a witness without searching.
+        assert run_cli(["fpt-maxmin", star5, "--k", "2"]) == 0
+        monkeypatch.setenv("BCP_BUDGET_SECONDS", "0")
+        assert run_cli(["fpt-maxmin", star5, "--k", "2"]) == 3
+
     def test_weighted_rejected(self, tmp_path):
         inst = tmp_path / "w.bcp"
         inst.write_text(write_instance(path_graph(4, [1, 2, 1, 1])))
@@ -174,6 +185,22 @@ class TestGenValidate:
     def test_gen_stdout(self, capsys):
         assert run_cli(["gen", "--family", "star", "--n", "4"]) == 0
         assert capsys.readouterr().out.startswith("p bcp 4 3")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["--weights", "a:b"], "weights must look like LO:HI, got 'a:b'"),
+         (["--weights", "5:1"], "bad weight range (5, 1)"),
+         (["--n", "2"], "need n >= 3, got 2")],
+        ids=["weights-not-integers", "weights-reversed", "n-too-small"],
+    )
+    def test_gen_bad_arguments(self, args, message, capsys):
+        argv = ["gen", "--family", "star", "--n", "5", *args]
+        assert run_cli(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_validate_missing_partition_file(self, path5, tmp_path, capsys):
+        assert run_cli(["validate", path5, str(tmp_path / "none.txt")]) == 2
+        assert "cannot read" in capsys.readouterr().err
 
     def test_validate_good(self, path5, tmp_path, capsys):
         part = tmp_path / "part.txt"
@@ -299,12 +326,24 @@ class TestBench:
             ({"entries": [good, {**good, "weights": "19"}]}, "suite entry 1:"),
             ({"entries": [good, "tree"]}, "suite entry 1 must be an object"),
             ({"entries": [{**good, "id": {"a": [1, 2]}}]}, "suite entry 0: id"),
+            ({"entries": [{"family": "star", "n": 5, "k": 3}]}, "misses 'algorithm'"),
+            ({"entries": [{**good, "algorithm": "magic"}]}, "unknown algorithm 'magic'"),
+            ({"entries": [{**good, "family": "blob"}]}, "unknown family 'blob'"),
         ]
         bad = tmp_path / "bad.json"
         for suite, message in suites:
             bad.write_text(json.dumps(suite))
             assert run_cli(["bench", "--suite", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
             assert message in capsys.readouterr().err
+
+    def test_unreadable_suite(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        assert run_cli(["bench", "--suite", str(tmp_path / "none.json"), "--out", out]) == 2
+        assert "cannot read" in capsys.readouterr().err
+        bad = tmp_path / "bad.json"
+        bad.write_text("{entries")
+        assert run_cli(["bench", "--suite", str(bad), "--out", out]) == 2
+        assert "suite is not valid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "exact", "fpt-maxmin", "bench"])

@@ -278,6 +278,12 @@ class TestSolve:
             solve_fpt_maxmin(g, 4, cover, max_seconds=0.5)
         assert time.monotonic() - start < 2.0
 
+    def test_zero_budget_stops_k_exceeding_cover(self):
+        # The greedy cover of a star is its centre, so k=2 returns before
+        # any search would read the clock.
+        with pytest.raises(BudgetExceeded):
+            solve_fpt_maxmin(star_graph(5), 2, max_seconds=0.0)
+
     @pytest.mark.parametrize("m, k", [(10, 4), (12, 3)])
     def test_ladder_reaches_cap(self, m, k):
         # Both once ran past 20 s inside _distribute; the optimum is n // k.

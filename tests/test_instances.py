@@ -74,6 +74,27 @@ class TestParse:
         assert exc.value.line == 2
 
     @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("p bcp 2\n", "problem line must be", 1),
+            ("p dimacs 2 1\n", "problem line must be", 1),
+            ("p bcp two 1\n", "counts must be integers", 1),
+            ("p bcp 2 1\nv 2 1\n", "vertex id 2 out of range", 2),
+            ("p bcp 2 1\nv 0 1\nv 0 2\n", "duplicate weight for vertex 0", 3),
+            ("p bcp 2 1\nv 0 1\nv 1 1\ne 0\n", "edge line must be", 4),
+            ("p bcp 2 1\nv 0 1\nv 1 1\ne 0 one\n", "endpoints must be integers", 4),
+            ("p bcp 2 1\nv 0 1\nv 1 1\ne 0 5\n", r"edge \(0,5\) out of range", 4),
+            ("c no problem line\n", "missing problem line", None),
+        ],
+        ids=["short-p", "bad-p", "count", "vertex-range", "duplicate-v", "short-e",
+             "endpoint", "edge-range", "no-p"],
+    )
+    def test_malformed_lines_name_their_line(self, text, message, line):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_instance(text)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize(
         "token, weights",
         [("1_000", (1000, 1)), ("+3", (3, 1)), ("3.0", (3, 1)), ("1/2", (1, 2)),
          ("007", (7, 1))],

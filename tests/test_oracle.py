@@ -6,9 +6,11 @@ from hypothesis import given, settings
 
 from bcp.errors import BudgetExceeded, ContractViolation
 from bcp.graph import is_connected
+from bcp.instances import generate
 import bcp.oracle
 from bcp.oracle import (
     MAX_VERTICES,
+    _search,
     enumerate_connected_kpartitions,
     exact_maxmin,
     exact_minmax,
@@ -23,7 +25,12 @@ from .conftest import (
     star_graph,
     triangle_graph,
 )
-from .reference import exhaustive_optimum, oracle_pull_admissible, w_minus
+from .reference import (
+    all_connected_kpartitions,
+    exhaustive_optimum,
+    oracle_pull_admissible,
+    w_minus,
+)
 
 
 def fs(*vs):
@@ -155,6 +162,65 @@ def test_bounded_optimum_matches_exhaustive(max_weight):
             for k in range(2, min(5, n) + 1):
                 assert exact_minmax(g, k) == exhaustive_optimum(g, k, max)
                 assert exact_maxmin(g, k) == exhaustive_optimum(g, k, min)
+
+
+def test_window_yields_exactly_the_partitions_inside_it():
+    # Against every restricted-growth string: the window [0, hi] keeps the
+    # partitions with no class heavier than hi, [lo, w(G)] those with no
+    # class lighter than lo, and each yield carries its class weights.
+    rng = random.Random("oracle-window")
+    for n in range(2, 9):
+        for _ in range(4):
+            g = random_connected_graph(rng, n, 9)
+            total = g.total_weight
+            for k in range(2, min(4, n) + 1):
+                every = all_connected_kpartitions(g, k)
+                assert sum(1 for _ in enumerate_connected_kpartitions(g, k)) == len(every)
+                heaviest = sorted({max(g.weight(c) for c in p) for p in every})
+                lightest = sorted({min(g.weight(c) for c in p) for p in every})
+                windows = [(0, hi) for hi in rng.sample(heaviest, min(3, len(heaviest)))]
+                windows += [(lo, total) for lo in rng.sample(lightest, min(3, len(lightest)))]
+                windows += [(0, heaviest[0] - 1), (lightest[-1] + 1, total), (0, total)]
+                for lo, hi in windows:
+                    got = list(_search(g, k, None, [lo, hi]))
+                    want = {
+                        frozenset(p) for p in every
+                        if all(lo <= g.weight(c) <= hi for c in p)
+                    }
+                    assert len(got) == len(want)
+                    assert {frozenset(p) for _, p in got} == want
+                    assert all(w == tuple(g.weight(c) for c in p) for w, p in got)
+
+
+class CountingWindow(list):
+    """A search window that counts the nodes reading it: each node unpacks
+    it exactly once."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize(
+    "family, k, nodes",
+    [("grid", 3, (19536, 1616, 2773)), ("tree-plus-edges", 3, (11540, 1505, 3100)),
+     ("random-tree", 4, (14305, 1062, 1680))],
+)
+def test_window_cuts_pin_node_counts(family, k, nodes):
+    # Outputs cannot show a lost cut, only the work can: nodes visited for
+    # the windows [0, w(G)], [0, min-max optimum] and [max-min optimum, w(G)].
+    g = generate(family, 12, (1, 9), 1)
+    windows = [
+        CountingWindow([0, g.total_weight]),
+        CountingWindow([0, exact_minmax(g, k)[0]]),
+        CountingWindow([exact_maxmin(g, k)[0], g.total_weight]),
+    ]
+    for window in windows:
+        for _ in _search(g, k, None, window):
+            pass
+    assert tuple(w.reads for w in windows) == nodes
 
 
 @given(connected_graphs(min_n=2, max_n=7))
