@@ -15,6 +15,10 @@ Where the paper hands each cover assignment to an ILP in few variables
 (Lenstra), the y counts here come from a transport max-flow searched only
 above the best value so far, branching on the first binding cut (a cover)
 it leaves unmet by forcing one unit from each of the cut's groups in turn.
+Each pooled cut keeps the search's view of it, cover-position masks of
+{u, v} and of Z plus F's group indices, so a leaf finds the cuts that bind
+at its cover assignment by two mask tests each; the best candidate is
+decoded to a partition once, when the search ends.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import BudgetExceeded, ContractViolation, InputError, InternalError
-from .graph import VertexSet, WeightedGraph, components, is_connected
+from .graph import VertexSet, WeightedGraph, _dfs_tree, components, is_connected
 from .minmax import split_off_singletons
 from .partition import Partition, sort_classes
 
@@ -126,23 +130,14 @@ class CutConstraint:
     z: VertexSet
     hyperedges: frozenset[VertexSet]
 
-    def binds(self, x_class: Mapping[int, int]) -> bool:
-        """True iff the cover assignment puts u and v in the cut's class and
-        no vertex of Z there: the x terms then sum to 2, so the cut demands
-        at least one class-i stable vertex from the hyperedges in F.
-        Otherwise they sum to at most 1 and the cut holds whatever y is."""
-        i = self.class_index
-        return (
-            x_class.get(self.u) == i
-            and x_class.get(self.v) == i
-            and not any(x_class.get(z) == i for z in self.z)
-        )
-
     def satisfied_by(self, candidate: ModelCandidate) -> bool:
-        i = self.class_index
-        return not self.binds(candidate.x_class) or any(
-            candidate.y[s][i] >= 1 for s in self.hyperedges
-        )
+        """The cut binds iff the cover assignment puts u and v in the cut's
+        class and no vertex of Z there: the x terms then sum to 2, so it
+        demands at least one class-i stable vertex from the hyperedges in F.
+        Otherwise they sum to at most 1 and it holds whatever y is."""
+        i, x = self.class_index, candidate.x_class
+        binds = x.get(self.u) == i == x.get(self.v) and not any(x.get(z) == i for z in self.z)
+        return not binds or any(candidate.y[s][i] >= 1 for s in self.hyperedges)
 
     def render(self) -> str:
         zs = " - " + " - ".join(f"x[{z},{self.class_index}]" for z in sorted(self.z)) if self.z else ""
@@ -156,11 +151,14 @@ class CutConstraint:
 
 @dataclass
 class FptModel:
-    """Dimensions, base constraints and the growing cut pool of one solve."""
+    """Dimensions, base constraints and the growing cut pool of one solve.
+    The pool maps each cut, in the order found, to the search's view of it:
+    the cover-position masks of {u, v} and of Z, and F's group indices in
+    decomposition order."""
 
     dec: VertexCoverDecomposition
     k: int
-    cuts: dict[CutConstraint, None] = field(default_factory=dict)
+    cuts: dict[CutConstraint, tuple[int, int, tuple[int, ...]]] = field(default_factory=dict)
 
     def dump(self) -> str:
         dec = self.dec
@@ -225,22 +223,20 @@ def separate(dec: VertexCoverDecomposition, k: int, candidate: ModelCandidate) -
     xset = frozenset(dec.cover)
     cuts: list[CutConstraint] = []
     for i, members in enumerate(_decode_classes(dec, k, candidate)):
-        if not members:
-            continue
-        comps = components(dec.graph, frozenset(members))
-        if len(comps) == 1:
-            continue
         x_in_class = members & xset
         if not x_in_class:
-            raise ContractViolation(f"disconnected class {i} has no cover vertex")
+            # Stable vertices are pairwise non-adjacent.
+            if len(members) > 1:
+                raise ContractViolation(f"disconnected class {i} has no cover vertex")
+            continue
         u = min(x_in_class)
-        comp_u = next(c for c in comps if u in c)
-        other_x = sorted(x_in_class - comp_u)
+        comp_u = frozenset(_dfs_tree(dec.graph, members, u)[0])
+        if len(comp_u) == len(members):
+            continue
+        other_x = x_in_class - comp_u
         if not other_x:
-            raise ContractViolation(
-                f"class {i} has a component without cover vertices"
-            )
-        v = other_x[0]
+            raise ContractViolation(f"class {i} has a component without cover vertices")
+        v = min(other_x)
         z = xset - x_in_class
         f_edges = frozenset(
             s
@@ -485,12 +481,16 @@ def solve_fpt_maxmin(
     sets = list(dec.classes_by_neighborhood)
     counts = [len(members) for members in dec.classes_by_neighborhood.values()]
     pos_of = {v: p for p, v in enumerate(xs)}
-    set_masks = [sum(1 << pos_of[v] for v in s) for s in sets]
+
+    def mask(vertices: Iterable[int]) -> int:
+        return sum(1 << pos_of[v] for v in vertices)
+
+    set_masks = [mask(s) for s in sets]
 
     cap_value = g.n // k
 
     best_value = 0
-    best_classes: Partition | None = None
+    best: ModelCandidate | None = None
     nodes = 0
     # Cover positions by class; the first `used` classes are open.
     class_masks = [0] * k
@@ -506,44 +506,46 @@ def solve_fpt_maxmin(
         return ub
 
     def leaf() -> None:
-        nonlocal best_value, best_classes
+        nonlocal best_value, best
         bases = [bin(cm).count("1") for cm in class_masks]
         elig = [
             [i for i in range(k) if sm & class_masks[i]] for sm in set_masks
         ]
-        x_of = {xs[p]: i for p in range(len(xs)) for i in range(k) if class_masks[i] >> p & 1}
-        # Covers of the pooled cuts that bind here, then of each pass's fresh
-        # cuts, which are violated and so bind.
-        binding = [cut for cut in model.cuts if cut.binds(x_of)]
+        # Covers of the pooled cuts that bind here (u and v in class i, no
+        # vertex of Z there), then of each pass's fresh cuts, which are
+        # violated and so bind.
+        binding = model.cuts.items()
         covers = []
         while True:
-            _check_deadline(deadline)
-            for cut in binding:
+            for cut, (need, avoid, groups) in binding:
                 i = cut.class_index
-                groups = [
-                    j
-                    for j, s in enumerate(sets)
-                    if s in cut.hyperedges and i in elig[j]
-                ]
-                if not groups:
+                cm = class_masks[i]
+                if cm & (need | avoid) != need:
+                    continue
+                cover = [j for j in groups if set_masks[j] & cm]
+                if not cover:
                     return
-                covers.append((i, groups))
+                covers.append((i, cover))
             res = _distribute(counts, elig, bases, covers, cap_value, best_value, deadline)
             if res is None:
                 return
             value, alloc = res
-            candidate = ModelCandidate(
-                x_class=x_of, y={s: tuple(alloc[j]) for j, s in enumerate(sets)}
-            )
+            x_class = {
+                v: i for p, v in enumerate(xs) for i, cm in enumerate(class_masks) if cm >> p & 1
+            }
+            candidate = ModelCandidate(x_class, {s: tuple(alloc[j]) for j, s in enumerate(sets)})
             cuts = separate(dec, k, candidate)
             if not cuts:
-                best_value = value
-                best_classes = reconstruct(dec, k, candidate)
+                best_value, best = value, candidate
                 return
             if any(cut in model.cuts for cut in cuts):
                 raise InternalError("separation repeated a pooled cut")
-            model.cuts.update(dict.fromkeys(cuts))
-            binding = cuts
+            binding = [
+                (cut, (mask((cut.u, cut.v)), mask(cut.z),
+                       tuple(j for j, s in enumerate(sets) if s in cut.hyperedges)))
+                for cut in cuts
+            ]
+            model.cuts.update(binding)
 
     def dfs(pos: int, used: int) -> None:
         nonlocal nodes
@@ -566,11 +568,6 @@ def solve_fpt_maxmin(
             class_masks[c] &= ~bit
 
     dfs(0, 0)
-    if best_classes is None:
+    if best is None:
         raise InternalError("search found no connected partition")
-    return FptResult(
-        value=best_value,
-        classes=best_classes,
-        model=model,
-        nodes=nodes,
-    )
+    return FptResult(value=best_value, classes=reconstruct(dec, k, best), model=model, nodes=nodes)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from collections.abc import Sequence
 from fractions import Fraction
 from itertools import islice
 
@@ -142,29 +141,6 @@ def write_instance(g: WeightedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _MissingPairs(Sequence):
-    """The pairs (u, v), u < v < n, that are not in `present`, in
-    lexicographic order, computed on indexing instead of listed: a pair's
-    rank among all n(n-1)/2 pairs, shifted past the present ranks below it."""
-
-    def __init__(self, n: int, present: list[tuple[int, int]]) -> None:
-        self.row_start = [u * n - u * (u + 1) // 2 for u in range(n - 1)]
-        ranks = sorted(self.row_start[u] + v - u - 1 for u, v in present)
-        # Missing pairs ranked below each present one; nondecreasing.
-        self.missing_below = [r - i for i, r in enumerate(ranks)]
-        self.size = n * (n - 1) // 2 - len(ranks)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, j: int) -> tuple[int, int]:
-        if not 0 <= j < self.size:
-            raise IndexError(j)
-        rank = j + bisect_right(self.missing_below, j)
-        u = bisect_right(self.row_start, rank) - 1
-        return u, u + 1 + rank - self.row_start[u]
-
-
 def _random_weights(rng: random.Random, n: int, lo: int, hi: int) -> list[int]:
     return [rng.randint(lo, hi) for _ in range(n)]
 
@@ -190,9 +166,16 @@ def generate(
         edges = random_tree()
     elif family == "tree-plus-edges":
         edges = random_tree()  # each edge is (parent, child), parent < child
-        candidates = _MissingPairs(n, edges)
-        extra = min(len(candidates), max(1, n // 3))
-        edges += rng.sample(candidates, extra)
+        # Sample ranks j among the missing pairs (u, v), u < v, taken in
+        # lexicographic order, and shift each past the present ranks below it.
+        row_start = [u * n - u * (u + 1) // 2 for u in range(n - 1)]
+        ranks = sorted(row_start[u] + v - u - 1 for u, v in edges)
+        missing_below = [r - i for i, r in enumerate(ranks)]  # nondecreasing
+        size = n * (n - 1) // 2 - len(ranks)
+        for j in rng.sample(range(size), min(size, max(1, n // 3))):
+            rank = j + bisect_right(missing_below, j)
+            u = bisect_right(row_start, rank) - 1
+            edges.append((u, u + 1 + rank - row_start[u]))
     elif family == "spider":
         legs = min(3, n - 1)
         edges = []

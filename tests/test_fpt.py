@@ -164,6 +164,49 @@ class TestSeparate:
         )
         assert separate(dec, 2, candidate) == []
 
+    @pytest.mark.parametrize(
+        "x_change, y_change",
+        [
+            ({1: 1}, {}),  # u leaves class 0
+            ({5: 1}, {}),  # v leaves class 0
+            ({3: 0}, {}),  # the Z vertex joins class 0
+            ({}, {fs(1, 3): (1, 0)}),  # F's group gives class 0 a unit
+        ],
+    )
+    def test_cut_satisfied_once_it_no_longer_binds_or_is_met(self, x_change, y_change):
+        # P7 with cover {1, 3, 5}: class 0 = {0, 1} + {5, 6} is cut apart by
+        # class 1's vertex 3, so unlike the P5 bridge cut this one has Z = {3}.
+        dec = decompose(path_graph(7), [1, 3, 5])
+        x_class = {1: 0, 3: 1, 5: 0}
+        y = {fs(1): (1, 0), fs(1, 3): (0, 1), fs(3, 5): (0, 1), fs(5): (1, 0)}
+        [cut] = separate(dec, 2, ModelCandidate(x_class, y))
+        assert (cut.u, cut.v, cut.class_index, cut.z) == (1, 5, 0, fs(3))
+        assert cut.hyperedges == frozenset({fs(1, 3)})
+        assert not cut.satisfied_by(ModelCandidate(x_class, y))
+        assert cut.satisfied_by(ModelCandidate({**x_class, **x_change}, {**y, **y_change}))
+
+    def test_class_of_one_stable_vertex_yields_nothing(self):
+        dec = decompose(path_graph(5), [1, 3])
+        candidate = ModelCandidate(
+            x_class={1: 0, 3: 0}, y={fs(1): (1, 0), fs(3): (0, 1), fs(1, 3): (1, 0)}
+        )
+        assert separate(dec, 2, candidate) == []
+
+    @pytest.mark.parametrize(
+        "x_class, y, message",
+        [
+            # Class 1 = {0, 4}: two stable vertices and no cover vertex.
+            ({1: 0, 3: 0}, {fs(1): (0, 1), fs(3): (0, 1), fs(1, 3): (1, 0)}, "has no cover vertex"),
+            # Class 0 = {1, 0, 4}: 4 is cut off from the only cover vertex.
+            ({1: 0, 3: 1}, {fs(1): (1, 0), fs(3): (1, 0), fs(1, 3): (0, 1)},
+             "a component without cover vertices"),
+        ],
+    )
+    def test_disconnected_class_without_a_second_cover_vertex_rejected(self, x_class, y, message):
+        dec = decompose(path_graph(5), [1, 3])
+        with pytest.raises(ContractViolation, match=message):
+            separate(dec, 2, ModelCandidate(x_class, y))
+
 
 class TestReconstruct:
     def test_c4_lowest_id_rule(self):
@@ -291,6 +334,20 @@ class TestSolve:
         result = solve_fpt_maxmin(g, k, cover, max_seconds=10)
         assert result.value == g.n // k
         assert validate(g, result.classes, k) == []
+
+    def test_witness_decoded_once(self, monkeypatch):
+        # The search improves on ladder 2x6 at k=3 three times.
+        calls = []
+
+        def counting(dec, k, candidate):
+            calls.append(candidate)
+            return reconstruct(dec, k, candidate)
+
+        monkeypatch.setattr(bcp.fpt, "reconstruct", counting)
+        cover = [r * 6 + c for r in range(2) for c in range(6) if (r + c) % 2 == 0]
+        result = solve_fpt_maxmin(grid_graph(2, 6), 3, cover)
+        assert len(calls) == 1
+        assert result.value == 4
 
     def test_k_out_of_range(self):
         with pytest.raises(InputError):
@@ -545,6 +602,48 @@ def test_cut_count_is_the_dumped_pool():
         result = solve_fpt_maxmin(g, k, cover)
         assert result.cuts_added == len(result.model.cuts) >= 1
         assert f"cut pool ({result.cuts_added} cuts):" in result.model.dump().splitlines()
+
+
+def test_pool_keeps_each_cuts_masks():
+    """Each pooled cut's stored (need, avoid, groups) is its u-v mask, its Z
+    mask and F's group indices, and the leaf's mask test binds exactly when
+    the cut is violated under zero stable counts."""
+    rng = random.Random(0xC07)
+    seen = Counter()
+    for g, cover, k in [(hub_graph(), [1, 2, 5], 2), (*ladder(6), 3), (*ladder(8), 3)]:
+        result = solve_fpt_maxmin(g, k, cover)
+        assert result.model.cuts
+        xs, sets = result.model.dec.cover, list(result.model.dec.classes_by_neighborhood)
+        assignments = [{v: rng.randrange(k) for v in xs} for _ in range(50)]
+        for cut, (need, avoid, groups) in result.model.cuts.items():
+            assert need == (1 << xs.index(cut.u)) | (1 << xs.index(cut.v))
+            assert avoid == sum(1 << xs.index(z) for z in cut.z)
+            assert groups == tuple(sorted(sets.index(s) for s in cut.hyperedges))
+            for x_class in assignments:
+                cm = sum(1 << p for p, v in enumerate(xs) if x_class[v] == cut.class_index)
+                binds = cm & (need | avoid) == need
+                candidate = ModelCandidate(x_class, {s: (0,) * k for s in sets})
+                assert binds == (not cut.satisfied_by(candidate))
+                seen[binds] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_leaf_covers_list_only_eligible_groups(monkeypatch):
+    # On ladder 2x10 at k=4 a binding cut's F often holds groups that touch
+    # only cover vertices now outside the cut's class; no unit of theirs
+    # can reach the class, so the leaf leaves them out of its cover.
+    seen = Counter()
+
+    def recording(counts, elig, bases, covers, *rest):
+        for i, groups in covers:
+            assert groups and all(i in elig[j] for j in groups)
+        seen["covers"] += len(covers)
+        return _distribute(counts, elig, bases, covers, *rest)
+
+    monkeypatch.setattr(bcp.fpt, "_distribute", recording)
+    g, cover = ladder(10)
+    assert solve_fpt_maxmin(g, 4, cover).value == 5
+    assert seen["covers"] >= 100, seen
 
 
 def test_model_dump_mentions_cuts():
