@@ -7,6 +7,8 @@ they never mutate their inputs, so values can be shared freely.
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
@@ -197,20 +199,32 @@ def _dfs_tree(
 
 
 def non_cut_vertex(g: WeightedGraph, s: VertexSet) -> int:
-    """A vertex of s whose removal keeps G[s] connected.
+    """A vertex of s whose removal keeps G[s] connected; see `non_cut_vertices`."""
+    return next(non_cut_vertices(g, s))
 
-    Deterministic rule: lowest-id non-root leaf of the DFS spanning tree of
-    G[s] rooted at min(s).
-    """
+
+def non_cut_vertices(g: WeightedGraph, s: VertexSet) -> Iterator[int]:
+    """Vertices of s to remove one by one, each keeping the rest connected,
+    until min(s) is left: each is the lowest-id non-root leaf of the DFS
+    tree of what is left, rooted at min(s).  One tree serves every pick.
+    The DFS reached nothing through a leaf u, so without u it runs the same
+    and its tree is the old one less u; u's parent becomes a leaf when u was
+    its last child, unless it is the root.  A heap keeps the leaves."""
     if len(s) < 2:
         raise ContractViolation("non_cut_vertex() requires at least two vertices")
     root = min(s)
     order, parent = _dfs_tree(g, s, root)
     if len(order) != len(s):
         raise ContractViolation("non_cut_vertex() requires a connected vertex set")
-    # The leaves are the vertices that are nobody's parent; parent[root]
-    # is root itself, so the root never counts as one.
-    return min(s - set(parent.values()))
+    children = Counter(parent[v] for v in order[1:])
+    leaves = [v for v in order if not children[v]]
+    heapq.heapify(leaves)
+    while leaves:
+        u = heapq.heappop(leaves)
+        yield u
+        children[parent[u]] -= 1
+        if not children[parent[u]] and parent[u] != root:
+            heapq.heappush(leaves, parent[u])
 
 
 def split_two(g: WeightedGraph, s: VertexSet) -> tuple[VertexSet, VertexSet]:

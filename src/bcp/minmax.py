@@ -5,8 +5,9 @@ The k=3 solver repeatedly shrinks the heaviest class of an ordered
 the heavy one, `pull` drags a boundary piece of the heavy class into a light
 one.  When neither applies the instance has a star-like cut-vertex structure
 that certifies optimality.  Partitions for k > 3 are derived from the
-3-partition by splitting off singleton classes or by regrouping the
-components around the star center.
+3-partition by splitting off singleton classes, at one DFS per split class
+and a heap step per singleton, or by regrouping the components around the
+star center.
 
 Each move strictly decreases the heaviest class weight, so with integer
 weights the loop runs at most w(G) iterations.
@@ -24,6 +25,7 @@ G[V3], so it walks all of V3, but merges are rare.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,7 +37,7 @@ from .graph import (
     boundary_neighbors,
     components,
     heaviest_piece,
-    non_cut_vertex,
+    non_cut_vertices,
     split_two,
 )
 from .partition import Partition, StarCenterCertificate, order3, sort_classes, w_plus
@@ -219,19 +221,28 @@ def star_center_certificate(g: WeightedGraph, p: Partition) -> StarCenterCertifi
 
 
 def split_off_singletons(g: WeightedGraph, p: Partition, q: int) -> Partition:
-    """Grow a partition by q classes, each time cutting a removable vertex
-    out of the heaviest class with at least two members (ties: smallest id).
-    The heaviest class weight never increases."""
+    """Grow a partition by q classes, each time cutting the vertex
+    `graph.non_cut_vertex` picks out of the heaviest class with at least two
+    members (ties: smallest id); the singletons follow in cut order.  The
+    heaviest class weight never increases.  Cost: one DFS per split class,
+    at its first pick, then a heap step per singleton."""
     if q < 0 or len(p) + q > g.n:
         raise ContractViolation(f"cannot add {q} singleton classes")
-    classes = list(p)
+    # (-weight, smallest id, size, index in p) of each class left to split
+    heap = [(-g.weight(c), min(c), len(c), i) for i, c in enumerate(p) if len(c) >= 2]
+    heapq.heapify(heap)
+    peelers = [non_cut_vertices(g, c) for c in p]
+    cut = []
     for _ in range(q):
-        candidates = [c for c in classes if len(c) >= 2]
-        pick = max(candidates, key=lambda c: (g.weight(c), -min(c)))
-        u = non_cut_vertex(g, pick)
-        classes[classes.index(pick)] = pick - {u}
-        classes.append(frozenset({u}))
-    return tuple(classes)
+        neg_weight, root, size, i = heap[0]
+        u = next(peelers[i])
+        cut.append(u)
+        if size > 2:
+            heapq.heapreplace(heap, (neg_weight + g.weights[u], root, size - 1, i))
+        else:
+            heapq.heappop(heap)
+    gone = frozenset(cut)
+    return tuple(c - gone for c in p) + tuple(frozenset({u}) for u in cut)
 
 
 def minmax_bcpk(g: WeightedGraph, k: int) -> BcpkResult:

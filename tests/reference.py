@@ -24,6 +24,7 @@ from bcp.graph import (
     boundary_neighbors,
     components,
     is_connected,
+    non_cut_vertex,
     split_two,
 )
 from bcp.minmax import _improvement_loop, initial_3partition
@@ -40,6 +41,23 @@ def minmax_bcp3(g: WeightedGraph) -> Partition:
     """Ordered connected 3-partition with w+ <= (3/2) * optimum, and exactly
     optimal whenever the returned heaviest class weighs more than w(G)/2."""
     return _improvement_loop(g, initial_3partition(g))[0]
+
+
+def split_off_singletons_repicked(g: WeightedGraph, p: Partition, q: int) -> Partition:
+    """`split_off_singletons` that sums every class to pick the heaviest
+    splittable one and builds a fresh DFS tree (`graph.non_cut_vertex`) for
+    each singleton.  The fast path is bcp.minmax.split_off_singletons, which
+    carries class weights and peels one tree per class."""
+    if q < 0 or len(p) + q > g.n:
+        raise ContractViolation(f"cannot add {q} singleton classes")
+    classes = list(p)
+    for _ in range(q):
+        candidates = [c for c in classes if len(c) >= 2]
+        pick = max(candidates, key=lambda c: (g.weight(c), -min(c)))
+        u = non_cut_vertex(g, pick)
+        classes[classes.index(pick)] = pick - {u}
+        classes.append(frozenset({u}))
+    return tuple(classes)
 
 
 def exhaustive_optimum(

@@ -13,6 +13,7 @@ from bcp.graph import (
     heaviest_piece,
     is_connected,
     non_cut_vertex,
+    non_cut_vertices,
     split_two,
 )
 from bcp.instances import FAMILIES, generate
@@ -28,7 +29,7 @@ from .conftest import (
     star_graph,
     triangle_graph,
 )
-from .reference import dfs_tree_recursive
+from .reference import all_connected_kpartitions, dfs_tree_recursive
 
 
 def fs(*vs):
@@ -198,6 +199,24 @@ def test_non_cut_vertex_keeps_connectivity(g):
     s = frozenset(range(g.n))
     u = non_cut_vertex(g, s)
     assert is_connected(g, s - {u})
+
+
+@given(connected_graphs(min_n=2, max_n=9))
+def test_non_cut_vertices_repeat_non_cut_vertex(g):
+    # Every class of each connected 2-partition too, where it has two members.
+    sets = [frozenset(range(g.n))]
+    if g.n <= 8:
+        sets += [c for p in all_connected_kpartitions(g, 2) for c in p if len(c) >= 2]
+    for s in sets:
+        expected, left = [], s
+        while len(left) > 1:
+            # The rule from scratch: the lowest-id non-root leaf of a fresh tree.
+            parent = dfs_tree_recursive(g, left, min(left))[1]
+            u = min(left - set(parent.values()))
+            assert non_cut_vertex(g, left) == u
+            expected.append(u)
+            left = left - {u}
+        assert list(non_cut_vertices(g, s)) == expected
 
 
 @given(connected_graphs(min_n=2, max_n=9))

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import bcp.graph
 from bcp.errors import ContractViolation
 from bcp.graph import boundary_neighbors, is_connected
 from bcp.instances import generate
@@ -23,17 +24,20 @@ from bcp.partition import order3, sort_classes, validate, w_plus
 from .conftest import (
     connected_graphs,
     family_graph,
+    grid_graph,
     path_graph,
     spider_graph,
     star_graph,
     triangle_graph,
 )
 from .reference import (
+    all_connected_kpartitions,
     merge_resummed,
     minmax_bcp3,
     oracle_pull_admissible,
     pull_check_components,
     pull_resummed,
+    split_off_singletons_repicked,
 )
 
 
@@ -205,6 +209,83 @@ class TestSplitOffSingletons:
         g = path_graph(3)
         with pytest.raises(ContractViolation):
             split_off_singletons(g, (fs(0, 1, 2),), 3)
+
+    def test_disconnected_class_rejected_when_first_picked(self):
+        # {0, 2, 4} is disconnected in the path; it weighs 3 + 1 + 3 = 7
+        # against {1, 3}'s 2 + 2 = 4, so the first cut picks it.
+        g = path_graph(5, [3, 2, 1, 2, 3])
+        with pytest.raises(ContractViolation):
+            split_off_singletons(g, (fs(0, 2, 4), fs(1, 3)), 1)
+        # Lighter than the connected class, it is reached only at the
+        # second cut, as in the per-singleton reference.
+        g = path_graph(5, [1, 9, 9, 9, 1])
+        p = (fs(0, 4), fs(1, 2, 3))
+        assert split_off_singletons(g, p, 1) == split_off_singletons_repicked(g, p, 1)
+        with pytest.raises(ContractViolation):
+            split_off_singletons(g, p, 3)
+        with pytest.raises(ContractViolation):
+            split_off_singletons_repicked(g, p, 3)
+
+    def test_one_dfs_tree_per_split_class(self, monkeypatch):
+        g = grid_graph(20, 20)
+        calls = []
+        dfs_tree = bcp.graph._dfs_tree
+
+        def counted(*args):
+            calls.append(args)
+            return dfs_tree(*args)
+
+        monkeypatch.setattr(bcp.graph, "_dfs_tree", counted)
+        got = split_off_singletons(g, (frozenset(range(400)),), 150)
+        assert len(got) == 151 and len(calls) == 1
+        # Three row bands of the grid, each split at least once.
+        calls.clear()
+        p = tuple(frozenset(range(20 * lo, 20 * hi)) for lo, hi in ((0, 7), (7, 14), (14, 20)))
+        got = split_off_singletons(g, p, 150)
+        split = [c for c, before in zip(got, p) if c != before]
+        assert len(split) == 3 and len(calls) <= len(split)
+
+
+def _split_inputs(g):
+    """Partitions to split off singletons from: the single class, every
+    connected 2- and 3-partition for n <= 8, and min-max's star fan."""
+    yield (frozenset(range(g.n)),)
+    if g.n <= 8:
+        for k in (2, 3):
+            yield from all_connected_kpartitions(g, k)
+    if g.n >= 3:
+        p3 = minmax_bcp3(g)
+        if 2 * w_plus(g, p3) > g.total_weight and len(p3[2]) >= 2:
+            star = star_center_certificate(g, p3)
+            yield (frozenset({star.u}),) + star.comps
+
+
+def _assert_split_matches_reference(g):
+    for p in _split_inputs(g):
+        for q in range(g.n - len(p) + 1):
+            assert split_off_singletons(g, p, q) == split_off_singletons_repicked(g, p, q)
+
+
+@given(connected_graphs(min_n=1, max_n=8))
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_split_off_singletons_matches_per_singleton_reference(g):
+    _assert_split_matches_reference(g)
+
+
+def test_split_off_singletons_matches_reference_on_grids_spiders_stars():
+    rng = random.Random(0x5EED)
+    graphs = []
+    for rows, cols in ((1, 5), (2, 3), (2, 4), (3, 3), (4, 5)):
+        graphs.append(grid_graph(rows, cols))
+        graphs.append(grid_graph(rows, cols, [rng.randint(1, 9) for _ in range(rows * cols)]))
+    for legs, leg_len in ((3, 1), (3, 2), (4, 3)):
+        graphs.append(spider_graph(legs, leg_len))
+        graphs.append(spider_graph(legs, leg_len, center_weight=rng.randint(1, 12)))
+    for n in (4, 7, 12):
+        graphs.append(star_graph(n))
+        graphs.append(star_graph(n, [rng.randint(1, 9) for _ in range(n)]))
+    for g in graphs:
+        _assert_split_matches_reference(g)
 
 
 class TestMinmaxBcpk:
