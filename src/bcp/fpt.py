@@ -4,21 +4,19 @@ Vertices outside the cover form a stable set I and are interchangeable
 within each neighborhood class I(S) = {v in I : N(v) = S}, so the model
 only decides how many of them each partition class receives (integer
 variables y[S,i]) next to binary membership x[v,i] for cover vertices.
-Connectivity is enforced lazily: whenever an integral candidate decodes to a
-disconnected class, a violated cut over a separator Z and a hyperedge cut F
-of the component hypergraph H_Z is added to a growing pool, and the search
-continues.  The pool never excludes the encoding of a real connected
-partition, so depth-first branch-and-bound over the x assignment plus an
-exact distribution of the y counts solves the problem to optimality.
 
-Where the paper hands each cover assignment to an ILP in few variables
-(Lenstra), the y counts here come from a transport max-flow searched only
-above the best value so far, branching on the first binding cut (a cover)
-it leaves unmet by forcing one unit from each of the cut's groups in turn.
-Each pooled cut keeps the search's view of it, cover-position masks of
-{u, v} and of Z plus F's group indices, so a leaf finds the cuts that bind
-at its cover assignment by two mask tests each; the best candidate is
-decoded to a partition once, when the search ends.
+The search assigns the cover depth-first, one bitmask of cover positions
+per class, and completes each assignment with the y counts of a transport
+max-flow searched only above the best value so far, where the paper hands
+it to an ILP in few variables (Lenstra).  Connectivity is enforced lazily:
+a class that the masks and counts leave disconnected adds a cut over a
+separator Z and hyperedges F of the component hypergraph H_Z to a growing
+pool, in the search's form (masks of {u, v} and of Z, F's group indices),
+and the leaf distributes again, branching on the first binding cut the
+flow leaves unmet.  The pool never excludes the encoding of a real
+connected partition, so the search is exact.  Vertex ids return only when
+the pool is rendered and when the best candidate is decoded, once, as the
+search ends.
 """
 
 from __future__ import annotations
@@ -26,10 +24,10 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ContractViolation, InputError, InternalError
-from .graph import VertexSet, WeightedGraph, _dfs_tree, components, is_connected
+from .graph import VertexSet, WeightedGraph, components, is_connected, mask_reach
 from .minmax import split_off_singletons
 from .partition import Partition, sort_classes
 
@@ -56,6 +54,10 @@ class VertexCoverDecomposition:
     stable: tuple[int, ...]
     # Each nonempty I(S) by S, keys ascending by sorted(S), members ascending.
     classes_by_neighborhood: dict[VertexSet, tuple[int, ...]]
+    # Cover-position masks, bit p standing for cover[p]: each group's S, in
+    # key order, and each cover vertex's neighbours in the cover.
+    set_masks: tuple[int, ...]
+    cover_nbr: tuple[int, ...]
 
 
 def decompose(g: WeightedGraph, cover: Iterable[int] | None = None) -> VertexCoverDecomposition:
@@ -72,16 +74,21 @@ def decompose(g: WeightedGraph, cover: Iterable[int] | None = None) -> VertexCov
         for u, v in g.edges():
             if u not in x and v not in x:
                 raise InputError(f"supplied set misses edge ({u},{v}); not a vertex cover")
+    xs = tuple(sorted(x))
+    pos = {v: p for p, v in enumerate(xs)}
     stable = tuple(v for v in range(g.n) if v not in x)
     groups: dict[VertexSet, list[int]] = {}
     for v in stable:
         s = frozenset(g.adjacency[v])
         groups.setdefault(s, []).append(v)
+    keys = sorted(groups, key=sorted)
     return VertexCoverDecomposition(
         graph=g,
-        cover=tuple(sorted(x)),
+        cover=xs,
         stable=stable,
-        classes_by_neighborhood={s: tuple(groups[s]) for s in sorted(groups, key=sorted)},
+        classes_by_neighborhood={s: tuple(groups[s]) for s in keys},
+        set_masks=tuple(sum(1 << pos[v] for v in s) for s in keys),
+        cover_nbr=tuple(sum(1 << pos[w] for w in g.adjacency[v] if w in pos) for v in xs),
     )
 
 
@@ -111,54 +118,35 @@ def build_hypergraph(dec: VertexCoverDecomposition, z: Iterable[int]) -> CutHype
     return CutHypergraph(z=zset, nodes=nodes, edges=tuple(edges))
 
 
-@dataclass
-class ModelCandidate:
-    """An integral assignment of the model variables."""
+class CutConstraint(NamedTuple):
+    """x[u,i] + x[v,i] - sum(x[z,i] for z in Z) - sum(y[S,i] for S in F) <= 1
+    as class i, the cover-position masks of {u, v} (need) and of Z (avoid),
+    and F's group indices ascending.  It binds where class i's mask cm has
+    cm & (need | avoid) == need, and then demands a class-i unit from F;
+    otherwise its x terms sum to at most 1 and it holds whatever y is."""
 
-    x_class: dict[int, int]
-    y: dict[VertexSet, tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class CutConstraint:
-    """One member of the lazy connectivity family:
-    x[u,i] + x[v,i] - sum(x[z,i] for z in Z) - sum(y[S,i] for S in F) <= 1."""
-
-    u: int
-    v: int
     class_index: int
-    z: VertexSet
-    hyperedges: frozenset[VertexSet]
+    need: int
+    avoid: int
+    groups: tuple[int, ...]
 
-    def satisfied_by(self, candidate: ModelCandidate) -> bool:
-        """The cut binds iff the cover assignment puts u and v in the cut's
-        class and no vertex of Z there: the x terms then sum to 2, so it
-        demands at least one class-i stable vertex from the hyperedges in F.
-        Otherwise they sum to at most 1 and it holds whatever y is."""
-        i, x = self.class_index, candidate.x_class
-        binds = x.get(self.u) == i == x.get(self.v) and not any(x.get(z) == i for z in self.z)
-        return not binds or any(candidate.y[s][i] >= 1 for s in self.hyperedges)
-
-    def render(self) -> str:
-        zs = " - " + " - ".join(f"x[{z},{self.class_index}]" for z in sorted(self.z)) if self.z else ""
-        ys = (
-            " - " + " - ".join(f"y[{set(sorted(s))},{self.class_index}]" for s in sorted(self.hyperedges, key=lambda t: tuple(sorted(t))))
-            if self.hyperedges
-            else ""
-        )
-        return f"x[{self.u},{self.class_index}] + x[{self.v},{self.class_index}]{zs}{ys} <= 1"
+    def render(self, dec: VertexCoverDecomposition) -> str:
+        i = self.class_index
+        u, v = (x for p, x in enumerate(dec.cover) if self.need >> p & 1)
+        zs = "".join(f" - x[{z},{i}]" for p, z in enumerate(dec.cover) if self.avoid >> p & 1)
+        sets = list(dec.classes_by_neighborhood)
+        ys = "".join(f" - y[{set(sorted(sets[j]))},{i}]" for j in self.groups)
+        return f"x[{u},{i}] + x[{v},{i}]{zs}{ys} <= 1"
 
 
 @dataclass
 class FptModel:
-    """Dimensions, base constraints and the growing cut pool of one solve.
-    The pool maps each cut, in the order found, to the search's view of it:
-    the cover-position masks of {u, v} and of Z, and F's group indices in
-    decomposition order."""
+    """Dimensions, base constraints and the growing cut pool of one solve,
+    its cuts in the order found."""
 
     dec: VertexCoverDecomposition
     k: int
-    cuts: dict[CutConstraint, tuple[int, int, tuple[int, ...]]] = field(default_factory=dict)
+    cuts: list[CutConstraint] = field(default_factory=list)
 
     def dump(self) -> str:
         dec = self.dec
@@ -180,81 +168,65 @@ class FptModel:
         lines.append("  sum_i y[S,i] = |I(S)|")
         lines.append(f"cut pool ({len(self.cuts)} cuts):")
         for cut in self.cuts:
-            lines.append("  " + cut.render())
+            lines.append("  " + cut.render(dec))
         return "\n".join(lines) + "\n"
 
 
-def _decode_classes(
-    dec: VertexCoverDecomposition, k: int, candidate: ModelCandidate
-) -> list[set[int]]:
-    """Concrete classes: cover vertices by x, then the y[S,i] lowest-id
-    unused members of each I(S) in class order.  The counts must name
-    exactly the decomposition's groups."""
-    if candidate.y.keys() != dec.classes_by_neighborhood.keys():
-        raise ContractViolation("counts must be keyed by exactly the neighborhood classes")
-    classes: list[set[int]] = [set() for _ in range(k)]
-    for v, c in candidate.x_class.items():
-        classes[c].add(v)
-    for s, members in dec.classes_by_neighborhood.items():
-        counts = candidate.y[s]
-        if min(counts) < 0 or sum(counts) != len(members):
+def separate(
+    dec: VertexCoverDecomposition, class_masks: Sequence[int], alloc: Sequence[Sequence[int]]
+) -> list[CutConstraint]:
+    """Violated connectivity cuts of a cover assignment (class_masks[i]: class
+    i's cover positions) and a count allocation (alloc[j][i]: class i's units
+    of group j), one per disconnected class.
+
+    A unit of group j joins every position of its S in the class, since all
+    its members neighbour exactly S.  So class i's component of its lowest
+    position u is a flood fill over cover adjacency OR-ed with the masks of
+    the groups giving the class a unit; v is the lowest position outside it,
+    Z the cover outside the class, and F the groups giving it no unit whose
+    S meets the component.  Any path reconnecting u to v must cross F, so
+    the cut is valid for every feasible solution yet violated here.
+    """
+    full = (1 << len(dec.cover)) - 1
+    cuts: list[CutConstraint] = []
+    for i, cm in enumerate(class_masks):
+        nbr = list(dec.cover_nbr)
+        for sm, row in zip(dec.set_masks, alloc):
+            if row[i]:
+                for p in range(len(nbr)):
+                    if sm >> p & 1:
+                        nbr[p] |= sm
+        reach = mask_reach(nbr, cm)
+        if reach == cm:
+            continue
+        rest = cm & ~reach
+        groups = tuple(j for j, sm in enumerate(dec.set_masks) if not alloc[j][i] and sm & reach)
+        cuts.append(CutConstraint(i, (cm & -cm) | (rest & -rest), full & ~cm, groups))
+    return cuts
+
+
+def reconstruct(
+    dec: VertexCoverDecomposition, class_masks: Sequence[int], alloc: Sequence[Sequence[int]]
+) -> Partition:
+    """The connected partition of a cover assignment and allocation, read as
+    by `separate`, in `sort_classes` order ((size, min id) under uniform
+    weights): class i takes the alloc[j][i] lowest-id members of I(S) that
+    the classes before it left.  Counts that do not hand out exactly each
+    group raise, and so does a disconnected class: separation was incomplete."""
+    groups = dec.classes_by_neighborhood
+    if len(alloc) != len(groups):
+        raise ContractViolation("counts must name exactly the neighborhood classes")
+    decoded = [{v for p, v in enumerate(dec.cover) if cm >> p & 1} for cm in class_masks]
+    for (s, members), counts in zip(groups.items(), alloc):
+        if len(counts) != len(decoded) or min(counts) < 0 or sum(counts) != len(members):
             raise ContractViolation(
                 f"neighborhood {sorted(s)} distributes {list(counts)} of {len(members)}"
             )
         at = 0
-        for i, cnt in enumerate(counts):
-            classes[i].update(members[at : at + cnt])
+        for c, cnt in zip(decoded, counts):
+            c.update(members[at : at + cnt])
             at += cnt
-    return classes
-
-
-def separate(dec: VertexCoverDecomposition, k: int, candidate: ModelCandidate) -> list[CutConstraint]:
-    """Violated connectivity cuts of the candidate, one per disconnected
-    class; empty iff every class decodes to a connected subgraph.
-
-    For a disconnected class i the separator is Z = X minus the class's
-    cover part, and F collects the neighborhood classes S that touch u's
-    component of the class but give the class no stable vertex.  In H_Z
-    (`build_hypergraph`) these are the hyperedges without class-i stable
-    vertices that touch the nodes reachable from u through those with
-    them.  Any path reconnecting u to v must cross F, so the cut is valid
-    for every feasible solution yet violated here.
-    """
-    xset = frozenset(dec.cover)
-    cuts: list[CutConstraint] = []
-    for i, members in enumerate(_decode_classes(dec, k, candidate)):
-        x_in_class = members & xset
-        if not x_in_class:
-            # Stable vertices are pairwise non-adjacent.
-            if len(members) > 1:
-                raise ContractViolation(f"disconnected class {i} has no cover vertex")
-            continue
-        u = min(x_in_class)
-        comp_u = frozenset(_dfs_tree(dec.graph, members, u)[0])
-        if len(comp_u) == len(members):
-            continue
-        other_x = x_in_class - comp_u
-        if not other_x:
-            raise ContractViolation(f"class {i} has a component without cover vertices")
-        v = min(other_x)
-        z = xset - x_in_class
-        f_edges = frozenset(
-            s
-            for s in dec.classes_by_neighborhood
-            if candidate.y[s][i] == 0 and s & comp_u
-        )
-        cut = CutConstraint(u=u, v=v, class_index=i, z=z, hyperedges=f_edges)
-        if cut.satisfied_by(candidate):
-            raise InternalError("separation produced a non-violated cut")
-        cuts.append(cut)
-    return cuts
-
-
-def reconstruct(dec: VertexCoverDecomposition, k: int, candidate: ModelCandidate) -> Partition:
-    """Concrete connected k-partition from a model solution in `sort_classes`
-    order, which under uniform weights is (size, min id); a disconnected or
-    empty class means separation was incomplete and raises."""
-    classes = [frozenset(c) for c in _decode_classes(dec, k, candidate)]
+    classes = [frozenset(c) for c in decoded]
     for c in classes:
         if not is_connected(dec.graph, c):
             raise ContractViolation(f"decoded class {sorted(c)} is not connected")
@@ -478,19 +450,12 @@ def solve_fpt_maxmin(
             value=1, classes=sort_classes(g, classes), model=model, nodes=0
         )
 
-    sets = list(dec.classes_by_neighborhood)
     counts = [len(members) for members in dec.classes_by_neighborhood.values()]
-    pos_of = {v: p for p, v in enumerate(xs)}
-
-    def mask(vertices: Iterable[int]) -> int:
-        return sum(1 << pos_of[v] for v in vertices)
-
-    set_masks = [mask(s) for s in sets]
-
+    set_masks = dec.set_masks
     cap_value = g.n // k
 
     best_value = 0
-    best: ModelCandidate | None = None
+    best: tuple[list[int], list[list[int]]] | None = None  # (class masks, allocation)
     nodes = 0
     # Cover positions by class; the first `used` classes are open.
     class_masks = [0] * k
@@ -514,11 +479,10 @@ def solve_fpt_maxmin(
         # Covers of the pooled cuts that bind here (u and v in class i, no
         # vertex of Z there), then of each pass's fresh cuts, which are
         # violated and so bind.
-        binding = model.cuts.items()
+        binding = model.cuts
         covers = []
         while True:
-            for cut, (need, avoid, groups) in binding:
-                i = cut.class_index
+            for i, need, avoid, groups in binding:
                 cm = class_masks[i]
                 if cm & (need | avoid) != need:
                     continue
@@ -530,22 +494,14 @@ def solve_fpt_maxmin(
             if res is None:
                 return
             value, alloc = res
-            x_class = {
-                v: i for p, v in enumerate(xs) for i, cm in enumerate(class_masks) if cm >> p & 1
-            }
-            candidate = ModelCandidate(x_class, {s: tuple(alloc[j]) for j, s in enumerate(sets)})
-            cuts = separate(dec, k, candidate)
+            cuts = separate(dec, class_masks, alloc)
             if not cuts:
-                best_value, best = value, candidate
+                best_value, best = value, (class_masks[:], alloc)
                 return
             if any(cut in model.cuts for cut in cuts):
                 raise InternalError("separation repeated a pooled cut")
-            binding = [
-                (cut, (mask((cut.u, cut.v)), mask(cut.z),
-                       tuple(j for j, s in enumerate(sets) if s in cut.hyperedges)))
-                for cut in cuts
-            ]
-            model.cuts.update(binding)
+            model.cuts += cuts
+            binding = cuts
 
     def dfs(pos: int, used: int) -> None:
         nonlocal nodes
@@ -570,4 +526,4 @@ def solve_fpt_maxmin(
     dfs(0, 0)
     if best is None:
         raise InternalError("search found no connected partition")
-    return FptResult(value=best_value, classes=reconstruct(dec, k, best), model=model, nodes=nodes)
+    return FptResult(value=best_value, classes=reconstruct(dec, *best), model=model, nodes=nodes)

@@ -177,6 +177,27 @@ def is_connected(g: WeightedGraph, s: VertexSet) -> bool:
     return len(_dfs_tree(g, s, root)[0]) == len(s)
 
 
+def mask_reach(nbr: Sequence[int], within: int) -> int:
+    """Bitmask flood fill: the bits of `within` reachable from its lowest bit
+    through bits of `within`, where nbr[b] is the neighbour mask of bit b;
+    0 when `within` is 0."""
+    if within == 0:
+        return 0
+    seed = within & -within
+    reach = seed
+    frontier = seed
+    while frontier:
+        grown = 0
+        f = frontier
+        while f:
+            b = f & -f
+            grown |= nbr[b.bit_length() - 1]
+            f ^= b
+        frontier = grown & within & ~reach
+        reach |= frontier
+    return reach
+
+
 def _dfs_tree(
     g: WeightedGraph, s: AbstractSet[int], root: int
 ) -> tuple[list[int], dict[int, int]]:

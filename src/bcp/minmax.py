@@ -40,7 +40,7 @@ from .graph import (
     non_cut_vertices,
     split_two,
 )
-from .partition import Partition, StarCenterCertificate, order3, sort_classes, w_plus
+from .partition import Partition, StarCenterCertificate, order3, sort_classes, validate, w_plus
 
 
 class Certificate(Enum):
@@ -143,15 +143,16 @@ def initial_3partition(g: WeightedGraph) -> Partition:
     """Deterministic starting point: the last two vertices of the DFS
     preorder from vertex 0 become singleton classes.  Each vertex's parent
     precedes it in the preorder, so every prefix, and in particular the
-    rest, induces a connected subgraph."""
+    rest, induces a connected subgraph: the classes come in `sort_classes`
+    order unchecked."""
     if g.n < 3:
         raise ContractViolation("need at least 3 vertices for a 3-partition")
     *rest, second, last = _dfs_tree(g, frozenset(range(g.n)), 0)[0]
-    return order3(g, (frozenset({last}), frozenset({second}), frozenset(rest)))
+    return sort_classes(g, (frozenset({last}), frozenset({second}), frozenset(rest)))
 
 
 def _improvement_loop(g: WeightedGraph, p: Partition) -> tuple[Partition, int]:
-    """Run merge/pull from p, as `order3` returns it, until w(V3) <= w(G)/2
+    """Run merge/pull from p, in `sort_classes` order, until w(V3) <= w(G)/2
     or neither move applies.
 
     Returns the terminal ordered partition and the iteration count; aborts if
@@ -245,6 +246,15 @@ def split_off_singletons(g: WeightedGraph, p: Partition, q: int) -> Partition:
     return tuple(c - gone for c in p) + tuple(frozenset({u}) for u in cut)
 
 
+def _checked(g: WeightedGraph, classes: Partition, k: int) -> Partition:
+    """The classes in `sort_classes` order, once `validate` finds them a
+    connected k-partition of g; the input was valid, so a failure is a bug."""
+    report = validate(g, classes, k)
+    if report:
+        raise InternalError("minmax_bcpk() built an invalid partition: " + "; ".join(report))
+    return sort_classes(g, classes)
+
+
 def minmax_bcpk(g: WeightedGraph, k: int) -> BcpkResult:
     """Connected k-partition with heaviest class at most (k/2) times the
     optimum; optimal outright in the certified star-center case."""
@@ -261,9 +271,7 @@ def minmax_bcpk(g: WeightedGraph, k: int) -> BcpkResult:
         if ell >= k - 1:
             t = ell - k + 1
             classes = (frozenset({star.u}).union(*star.comps[:t]),) + star.comps[t:]
-            return BcpkResult(
-                sort_classes(g, classes), Certificate.STAR_OPTIMAL, star, iterations
-            )
+            return BcpkResult(_checked(g, classes, k), Certificate.STAR_OPTIMAL, star, iterations)
         fan = (frozenset({star.u}),) + star.comps
         classes = split_off_singletons(g, fan, k - 1 - ell)
     # Splitting never makes the heaviest class heavier.  In the fan every
@@ -274,4 +282,4 @@ def minmax_bcpk(g: WeightedGraph, k: int) -> BcpkResult:
         if 2 * w_plus(g, classes) <= total
         else Certificate.SINGLETON_TOP
     )
-    return BcpkResult(sort_classes(g, classes), cert, None, iterations)
+    return BcpkResult(_checked(g, classes, k), cert, None, iterations)

@@ -23,31 +23,13 @@ import time
 from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExceeded, ContractViolation
-from .graph import WeightedGraph
+from .graph import WeightedGraph, mask_reach
 from .partition import Partition
 
 # Hard caps for exhaustive enumeration; exceeding one, or the optional time
 # budget, raises BudgetExceeded rather than truncating silently.
 MAX_VERTICES = 14
 MAX_PARTITIONS = 2_000_000
-
-
-def _mask_connected(nbr: tuple[int, ...], mask: int) -> bool:
-    if mask == 0:
-        return False
-    seed = mask & -mask
-    reach = seed
-    frontier = seed
-    while frontier:
-        grown = 0
-        f = frontier
-        while f:
-            b = f & -f
-            grown |= nbr[b.bit_length() - 1]
-            f ^= b
-        frontier = grown & mask & ~reach
-        reach |= frontier
-    return reach == mask
 
 
 def enumerate_connected_kpartitions(
@@ -93,7 +75,7 @@ def _search(
 
     def connected(m: int) -> bool:
         if not known[m]:
-            known[m] = 1 + _mask_connected(nbr, m)
+            known[m] = 1 + (mask_reach(nbr, m) == m)
         return known[m] == 2
 
     def recurse(v: int) -> Iterator[tuple[tuple[int, ...], Partition]]:

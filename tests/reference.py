@@ -5,7 +5,10 @@ path the package takes.
 """
 
 import random
+import re
 from collections import Counter, deque
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Iterable, Sequence
 
@@ -13,7 +16,6 @@ from bcp.errors import BudgetExceeded, ContractViolation
 from bcp.fpt import (
     CutConstraint,
     FptModel,
-    ModelCandidate,
     VertexCoverDecomposition,
     _max_flow,
     build_hypergraph,
@@ -192,6 +194,21 @@ def pull_resummed(g: WeightedGraph, p: Partition, i: int) -> Partition | None:
     return sort_classes(g, (p[2 - i], p[i - 1] | u, p[2] - u))
 
 
+@dataclass
+class ModelCandidate:
+    """An integral assignment of the model variables by vertex id and
+    neighborhood: x_class[v] is cover vertex v's class, y[S] the class
+    counts of I(S).  The solver works in cover-position masks instead."""
+
+    x_class: dict[int, int]
+    y: dict[VertexSet, tuple[int, ...]]
+
+
+def model_order(partition: Iterable[Iterable[int]]) -> list[VertexSet]:
+    """The classes of a partition as the model indexes them: by (size, min id)."""
+    return sorted((frozenset(c) for c in partition), key=lambda c: (len(c), min(c)))
+
+
 def class_size(candidate: ModelCandidate, i: int) -> int:
     return sum(1 for c in candidate.x_class.values() if c == i) + sum(
         counts[i] for counts in candidate.y.values()
@@ -200,7 +217,7 @@ def class_size(candidate: ModelCandidate, i: int) -> int:
 
 def encode(model: FptModel, partition: Sequence[Iterable[int]]) -> ModelCandidate:
     """Model vector of a partition, classes ordered by (size, min id)."""
-    classes = sorted((frozenset(c) for c in partition), key=lambda c: (len(c), min(c)))
+    classes = model_order(partition)
     if len(classes) != model.k:
         raise ContractViolation(f"expected {model.k} classes, got {len(classes)}")
     xset = frozenset(model.dec.cover)
@@ -213,6 +230,19 @@ def encode(model: FptModel, partition: Sequence[Iterable[int]]) -> ModelCandidat
         mset = set(members)
         y[s] = tuple(len(mset & c) for c in classes)
     return ModelCandidate(x_class=x_class, y=y)
+
+
+def classes_of(model: FptModel, candidate: ModelCandidate) -> list[VertexSet]:
+    """The classes of a model vector by vertex id: class i holds the cover
+    vertices x_class puts there and the y[S][i] lowest-id members of I(S)
+    that the classes before it left."""
+    classes = [{v for v, c in candidate.x_class.items() if c == i} for i in range(model.k)]
+    for s, members in model.dec.classes_by_neighborhood.items():
+        at = 0
+        for c, count in zip(classes, candidate.y[s]):
+            c.update(members[at : at + count])
+            at += count
+    return [frozenset(c) for c in classes]
 
 
 def check_base(model: FptModel, candidate: ModelCandidate) -> list[str]:
@@ -246,8 +276,33 @@ def check_base(model: FptModel, candidate: ModelCandidate) -> list[str]:
     return report
 
 
-def violated_cuts(model: FptModel, candidate: ModelCandidate) -> list[CutConstraint]:
-    return [c for c in model.cuts if not c.satisfied_by(candidate)]
+@lru_cache(maxsize=None)
+def _rendered_terms(text: str) -> tuple[list[tuple[int, str, int | VertexSet, int]], int]:
+    """(sign, variable, vertex or S, class) of each left-hand term of a
+    rendered cut, and its right-hand side."""
+    lhs, rhs = text.split(" <= ")
+    parts = re.split(r" ([+-]) ", lhs)
+    terms = []
+    for sign, term in zip(["+"] + parts[1::2], parts[::2]):
+        name, args, i = re.fullmatch(r"([xy])\[(.+),(\d+)\]", term).groups()
+        key = int(args) if name == "x" else frozenset(int(v) for v in args.strip("{}").split(","))
+        terms.append((1 if sign == "+" else -1, name, key, int(i)))
+    return terms, int(rhs)
+
+
+def cut_holds(model: FptModel, cut: CutConstraint, classes: Sequence[VertexSet]) -> bool:
+    """Whether the inequality `cut.render` prints holds for the classes,
+    classes[i] being class i, evaluated term by term: x[v,i] reads 1 iff v
+    is in classes[i], and y[S,i] counts the members of I(S) in classes[i].
+    The search's own test is a mask test on the cover assignment alone."""
+    terms, rhs = _rendered_terms(cut.render(model.dec))
+    total = 0
+    for sign, name, key, i in terms:
+        if name == "x":
+            total += sign * (key in classes[i])
+        else:
+            total += sign * len(classes[i].intersection(model.dec.classes_by_neighborhood[key]))
+    return total <= rhs
 
 
 def tree_plus_edges(n: int, weight_range: tuple[int, int] = (1, 1), seed: int = 0) -> WeightedGraph:
@@ -265,15 +320,16 @@ def tree_plus_edges(n: int, weight_range: tuple[int, int] = (1, 1), seed: int = 
 
 
 def reach_hyperedges(
-    dec: VertexCoverDecomposition, candidate: ModelCandidate, i: int, u: int, z: VertexSet
-) -> frozenset[VertexSet]:
-    """F of a class-i cut from u, as a fixpoint over H_Z: grow the nodes
-    reachable from u's node through hyperedges with class-i stable vertices,
-    then take the hyperedges without them that touch a reached node.  The
-    fast path is bcp.fpt.separate."""
+    dec: VertexCoverDecomposition, alloc: Sequence[Sequence[int]], i: int, u: int, z: VertexSet
+) -> tuple[int, ...]:
+    """F of a class-i cut from u, as group indices ascending, by a fixpoint
+    over H_Z: grow the nodes reachable from u's node through hyperedges
+    whose group gives class i a unit (alloc[j][i] >= 1), then take the
+    hyperedges without one that touch a reached node.  The fast path is
+    bcp.fpt.separate."""
     hyper = build_hypergraph(dec, z)
     reach = {next(idx for idx, comp in enumerate(hyper.nodes) if u in comp)}
-    active = [touched for s, touched in hyper.edges if candidate.y[s][i] >= 1]
+    active = [touched for j, (_, touched) in enumerate(hyper.edges) if alloc[j][i] >= 1]
     grown = True
     while grown:
         grown = False
@@ -281,9 +337,7 @@ def reach_hyperedges(
             if touched & reach and not touched <= reach:
                 reach |= touched
                 grown = True
-    return frozenset(
-        s for s, touched in hyper.edges if candidate.y[s][i] == 0 and touched & reach
-    )
+    return tuple(j for j, (_, touched) in enumerate(hyper.edges) if alloc[j][i] == 0 and touched & reach)
 
 
 def max_flow_network(

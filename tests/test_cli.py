@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import bcp.cli
 from bcp.cli import run_cli
+from bcp.errors import InternalError
 from bcp.instances import generate, parse_instance, write_instance
 
 from .conftest import connected_graphs, path_graph, star_graph
@@ -62,6 +63,15 @@ class TestSolve:
         start = out.index("partition:") + 1
         classes = [set(map(int, line.split())) for line in out[start:start + 3]]
         assert set().union(*classes) == set(range(5))
+
+    @pytest.mark.parametrize("extra", [[], ["--epsilon", "1/2"]])
+    def test_invalid_k_partition_fails_instead_of_printing(self, path5, capsys, monkeypatch, extra):
+        # P5 at k=4 ends in the singleton split; {0, 2} is disconnected.
+        broken = (frozenset({0, 2}), frozenset({1}), frozenset({3}), frozenset({4}))
+        monkeypatch.setattr("bcp.minmax.split_off_singletons", lambda g, p, q: broken)
+        with pytest.raises(InternalError, match=r"class 0 \(\[0, 2\]\) is disconnected"):
+            run_cli(["solve", path5, "--k", "4", *extra])
+        assert "partition:" not in capsys.readouterr().out
 
     def test_k2_is_input_error(self, path5, capsys):
         assert run_cli(["solve", path5, "--k", "2"]) == 2

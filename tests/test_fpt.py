@@ -8,8 +8,8 @@ import pytest
 import bcp.fpt
 from bcp.errors import BudgetExceeded, ContractViolation, InputError
 from bcp.fpt import (
+    CutConstraint,
     FptModel,
-    ModelCandidate,
     _distribute,
     _max_flow,
     build_hypergraph,
@@ -25,14 +25,17 @@ from bcp.partition import validate
 
 from .conftest import cycle_graph, grid_graph, path_graph, random_connected_graph, star_graph
 from .reference import (
+    ModelCandidate,
     check_base,
     class_size,
+    classes_of,
+    cut_holds,
     distribute_product,
     encode,
     matching_cover,
     max_flow_network,
+    model_order,
     reach_hyperedges,
-    violated_cuts,
 )
 
 
@@ -57,6 +60,8 @@ class TestDecompose:
         assert dec.cover == (1, 2)
         assert dec.stable == (0, 3)
         assert dec.classes_by_neighborhood == {fs(1): (0,), fs(2): (3,)}
+        assert dec.set_masks == (0b01, 0b10)
+        assert dec.cover_nbr == (0b10, 0b01)
 
     def test_c4(self):
         dec = decompose(cycle_graph(4), [0, 2])
@@ -131,38 +136,23 @@ class TestBuildHypergraph:
 
 
 class TestSeparate:
+    # P5 with cover (1, 3): bit 0 is vertex 1, bit 1 is vertex 3, and the
+    # groups are I({1}) = (0,), I({1, 3}) = (2,), I({3}) = (4,).
     def test_emits_bridge_cut(self):
-        g = path_graph(5)
-        dec = decompose(g, [1, 3])
-        candidate = ModelCandidate(
-            x_class={1: 0, 3: 0},
-            y={fs(1): (1, 0), fs(3): (1, 0), fs(1, 3): (0, 1)},
-        )
-        cuts = separate(dec, 2, candidate)
-        assert len(cuts) == 1
-        cut = cuts[0]
-        assert (cut.u, cut.v, cut.class_index) == (1, 3, 0)
-        assert cut.z == frozenset()
-        assert cut.hyperedges == frozenset({fs(1, 3)})
-        assert not cut.satisfied_by(candidate)
+        dec = decompose(path_graph(5), [1, 3])
+        assert dec.set_masks == (0b01, 0b11, 0b10)
+        [cut] = separate(dec, [0b11, 0], [[1, 0], [0, 1], [1, 0]])
+        assert cut == CutConstraint(class_index=0, need=0b11, avoid=0, groups=(1,))
+        assert cut.render(dec) == "x[1,0] + x[3,0] - y[{1, 3},0] <= 1"
+        assert not cut_holds(FptModel(dec, 2), cut, [fs(0, 1, 3, 4), fs(2)])
 
     def test_connected_candidate_yields_nothing(self):
-        g = path_graph(5)
-        dec = decompose(g, [1, 3])
-        candidate = ModelCandidate(
-            x_class={1: 0, 3: 1},
-            y={fs(1): (1, 0), fs(3): (0, 1), fs(1, 3): (1, 0)},
-        )
-        assert separate(dec, 2, candidate) == []
+        dec = decompose(path_graph(5), [1, 3])
+        assert separate(dec, [0b01, 0b10], [[1, 0], [1, 0], [0, 1]]) == []
 
     def test_bridge_present_yields_nothing(self):
-        g = path_graph(5)
-        dec = decompose(g, [1, 3])
-        candidate = ModelCandidate(
-            x_class={1: 0, 3: 0},
-            y={fs(1): (1, 0), fs(3): (1, 0), fs(1, 3): (1, 0)},
-        )
-        assert separate(dec, 2, candidate) == []
+        dec = decompose(path_graph(5), [1, 3])
+        assert separate(dec, [0b11, 0], [[1, 0], [1, 0], [1, 0]]) == []
 
     @pytest.mark.parametrize(
         "x_change, y_change",
@@ -177,83 +167,90 @@ class TestSeparate:
         # P7 with cover {1, 3, 5}: class 0 = {0, 1} + {5, 6} is cut apart by
         # class 1's vertex 3, so unlike the P5 bridge cut this one has Z = {3}.
         dec = decompose(path_graph(7), [1, 3, 5])
+        model = FptModel(dec, 2)
         x_class = {1: 0, 3: 1, 5: 0}
         y = {fs(1): (1, 0), fs(1, 3): (0, 1), fs(3, 5): (0, 1), fs(5): (1, 0)}
-        [cut] = separate(dec, 2, ModelCandidate(x_class, y))
-        assert (cut.u, cut.v, cut.class_index, cut.z) == (1, 5, 0, fs(3))
-        assert cut.hyperedges == frozenset({fs(1, 3)})
-        assert not cut.satisfied_by(ModelCandidate(x_class, y))
-        assert cut.satisfied_by(ModelCandidate({**x_class, **x_change}, {**y, **y_change}))
+        [cut] = separate(dec, [0b101, 0b010], [y[s] for s in dec.classes_by_neighborhood])
+        assert cut == CutConstraint(class_index=0, need=0b101, avoid=0b010, groups=(1,))
+        assert not cut_holds(model, cut, classes_of(model, ModelCandidate(x_class, y)))
+        changed = ModelCandidate({**x_class, **x_change}, {**y, **y_change})
+        assert cut_holds(model, cut, classes_of(model, changed))
 
     def test_class_of_one_stable_vertex_yields_nothing(self):
         dec = decompose(path_graph(5), [1, 3])
-        candidate = ModelCandidate(
-            x_class={1: 0, 3: 0}, y={fs(1): (1, 0), fs(3): (0, 1), fs(1, 3): (1, 0)}
-        )
-        assert separate(dec, 2, candidate) == []
+        assert separate(dec, [0b11, 0], [[1, 0], [1, 0], [0, 1]]) == []
 
-    @pytest.mark.parametrize(
-        "x_class, y, message",
-        [
-            # Class 1 = {0, 4}: two stable vertices and no cover vertex.
-            ({1: 0, 3: 0}, {fs(1): (0, 1), fs(3): (0, 1), fs(1, 3): (1, 0)}, "has no cover vertex"),
-            # Class 0 = {1, 0, 4}: 4 is cut off from the only cover vertex.
-            ({1: 0, 3: 1}, {fs(1): (1, 0), fs(3): (1, 0), fs(1, 3): (0, 1)},
-             "a component without cover vertices"),
-        ],
-    )
-    def test_disconnected_class_without_a_second_cover_vertex_rejected(self, x_class, y, message):
-        dec = decompose(path_graph(5), [1, 3])
-        with pytest.raises(ContractViolation, match=message):
-            separate(dec, 2, ModelCandidate(x_class, y))
+    def test_v_is_the_lowest_cover_vertex_past_the_component(self):
+        # P7 with cover {1, 3, 5} all in class 0, the stable vertices 2 and 4
+        # elsewhere: u = 1 is alone, and v is 3, not 5.
+        dec = decompose(path_graph(7), [1, 3, 5])
+        [cut] = separate(dec, [0b111, 0], [[1, 0], [0, 1], [0, 1], [1, 0]])
+        assert cut == CutConstraint(class_index=0, need=0b011, avoid=0, groups=(1,))
+        assert cut.render(dec) == "x[1,0] + x[3,0] - y[{1, 3},0] <= 1"
+
+    def test_groups_join_by_or_not_by_sum(self):
+        # C6 with cover {0, 2, 4}: the groups {0, 2} and {0, 4} both give
+        # class 0 a unit, so vertex 0's neighbour mask joins both of them.
+        # Summed, 0b011 + 0b101 carries into 0b1000, past the cover, and
+        # vertex 0 would reach neither 2 nor 4.
+        dec = decompose(cycle_graph(6), [0, 2, 4])
+        assert dec.set_masks == (0b011, 0b101, 0b110)
+        assert separate(dec, [0b111, 0], [[1, 0], [1, 0], [0, 1]]) == []
+        [cut] = separate(dec, [0b111, 0], [[0, 1], [1, 0], [0, 1]])
+        assert cut == CutConstraint(class_index=0, need=0b011, avoid=0, groups=(0, 2))
 
 
 class TestReconstruct:
     def test_c4_lowest_id_rule(self):
-        g = cycle_graph(4)
-        dec = decompose(g, [0, 2])
-        candidate = ModelCandidate(
-            x_class={0: 0, 2: 1}, y={fs(0, 2): (1, 1)}
-        )
-        assert reconstruct(dec, 2, candidate) == (fs(0, 1), fs(2, 3))
+        dec = decompose(cycle_graph(4), [0, 2])
+        assert reconstruct(dec, [0b01, 0b10], [[1, 1]]) == (fs(0, 1), fs(2, 3))
 
     def test_single_class(self):
-        g = path_graph(3)
-        dec = decompose(g, [1])
-        candidate = ModelCandidate(x_class={1: 0}, y={fs(1): (2,)})
-        assert reconstruct(dec, 1, candidate) == (fs(0, 1, 2),)
+        dec = decompose(path_graph(3), [1])
+        assert reconstruct(dec, [0b1], [[2]]) == (fs(0, 1, 2),)
 
     def test_bad_totals_rejected(self):
-        g = cycle_graph(4)
-        dec = decompose(g, [0, 2])
-        candidate = ModelCandidate(x_class={0: 0, 2: 1}, y={fs(0, 2): (1, 0)})
+        dec = decompose(cycle_graph(4), [0, 2])
         with pytest.raises(ContractViolation):
-            reconstruct(dec, 2, candidate)
+            reconstruct(dec, [0b01, 0b10], [[1, 0]])
 
     def test_disconnected_decode_rejected(self):
-        g = path_graph(5)
-        dec = decompose(g, [1, 3])
-        candidate = ModelCandidate(
-            x_class={1: 0, 3: 0},
-            y={fs(1): (1, 0), fs(3): (1, 0), fs(1, 3): (0, 1)},
-        )
-        with pytest.raises(ContractViolation):
-            reconstruct(dec, 2, candidate)
+        dec = decompose(path_graph(5), [1, 3])
+        with pytest.raises(ContractViolation, match="is not connected"):
+            reconstruct(dec, [0b11, 0], [[1, 0], [0, 1], [1, 0]])
 
-    @pytest.mark.parametrize("decode", [separate, reconstruct])
+    @pytest.mark.parametrize(
+        "class_masks, alloc",
+        [
+            # Class 1 = {0, 4}: two stable vertices and no cover vertex.
+            ([0b11, 0], [[0, 1], [1, 0], [0, 1]]),
+            # Class 0 = {1, 0, 4}: 4 is cut off from the only cover vertex.
+            ([0b01, 0b10], [[1, 0], [0, 1], [1, 0]]),
+        ],
+        ids=["pair", "cut"],
+    )
+    def test_disconnected_class_without_a_second_cover_vertex_rejected(self, class_masks, alloc):
+        # The search never builds these (a unit goes only to a class holding
+        # a vertex of its S), so separate does not look for them.
+        dec = decompose(path_graph(5), [1, 3])
+        with pytest.raises(ContractViolation, match="is not connected"):
+            reconstruct(dec, class_masks, alloc)
+
+    # separate reads the rows of the groups in the decomposition only, so
+    # reconstruct is the one decoder that checks them.
+    @pytest.mark.parametrize("decode", [reconstruct])
     @pytest.mark.parametrize(
         "y",
         [
-            {fs(1): (1, 0), fs(3): (0, 1)},  # misses I({1, 3}) = {2}
-            {fs(1): (1, 0), fs(3): (0, 1), fs(1, 3): (1, 0), fs(0): (0, 0)},  # {0} is no group
-            {fs(1): (1, 0), fs(3): (0, 1), fs(1, 3): (-1, 2)},  # a negative count
+            [[1, 0], [0, 1]],  # misses a group
+            [[1, 0], [1, 0], [0, 1], [0, 0]],  # one row too many
+            [[1, 0], [-1, 2], [0, 1]],  # a negative count
         ],
     )
     def test_counts_must_name_exactly_the_groups(self, decode, y):
         dec = decompose(path_graph(5), [1, 3])
-        candidate = ModelCandidate(x_class={1: 0, 3: 1}, y=y)
         with pytest.raises(ContractViolation):
-            decode(dec, 2, candidate)
+            decode(dec, [0b01, 0b10], y)
 
 
 class TestEncode:
@@ -339,9 +336,9 @@ class TestSolve:
         # The search improves on ladder 2x6 at k=3 three times.
         calls = []
 
-        def counting(dec, k, candidate):
-            calls.append(candidate)
-            return reconstruct(dec, k, candidate)
+        def counting(dec, class_masks, alloc):
+            calls.append((class_masks, alloc))
+            return reconstruct(dec, class_masks, alloc)
 
         monkeypatch.setattr(bcp.fpt, "reconstruct", counting)
         cover = [r * 6 + c for r in range(2) for c in range(6) if (r + c) % 2 == 0]
@@ -519,18 +516,18 @@ def test_separation_matches_hypergraph_reach_fixpoint():
         dec = decompose(g, range(cx))
         k = rng.randint(2, 3)
         x_class = {v: rng.randrange(k) for v in range(cx)}
-        y = {}
+        alloc = []
         for s, members in dec.classes_by_neighborhood.items():
             counts = [0] * k
             eligible = sorted({x_class[v] for v in s})
             for _ in members:
                 counts[rng.choice(eligible)] += 1
-            y[s] = tuple(counts)
-        candidate = ModelCandidate(x_class=x_class, y=y)
-        for cut in separate(dec, k, candidate):
-            assert cut.hyperedges == reach_hyperedges(
-                dec, candidate, cut.class_index, cut.u, cut.z
-            )
+            alloc.append(counts)
+        class_masks = [sum(1 << v for v in range(cx) if x_class[v] == i) for i in range(k)]
+        for cut in separate(dec, class_masks, alloc):
+            u = (cut.need & -cut.need).bit_length() - 1
+            z = frozenset(v for v in range(cx) if cut.avoid >> v & 1)
+            assert cut.groups == reach_hyperedges(dec, alloc, cut.class_index, u, z)
             compared += 1
 
 
@@ -593,8 +590,8 @@ def test_all_oracle_encodings_satisfy_fired_cuts():
     assert result.model.cuts
     model = result.model
     for p in enumerate_connected_kpartitions(g, 2):
-        candidate = encode(model, p)
-        assert violated_cuts(model, candidate) == []
+        classes = model_order(p)
+        assert all(cut_holds(model, cut, classes) for cut in model.cuts)
 
 
 def test_cut_count_is_the_dumped_pool():
@@ -605,25 +602,27 @@ def test_cut_count_is_the_dumped_pool():
 
 
 def test_pool_keeps_each_cuts_masks():
-    """Each pooled cut's stored (need, avoid, groups) is its u-v mask, its Z
-    mask and F's group indices, and the leaf's mask test binds exactly when
-    the cut is violated under zero stable counts."""
+    """Each pooled cut's need mask holds two cover positions, its avoid mask
+    none of them, and the leaf's mask test binds exactly when the rendered
+    inequality fails under zero stable counts."""
     rng = random.Random(0xC07)
     seen = Counter()
     for g, cover, k in [(hub_graph(), [1, 2, 5], 2), (*ladder(6), 3), (*ladder(8), 3)]:
         result = solve_fpt_maxmin(g, k, cover)
-        assert result.model.cuts
-        xs, sets = result.model.dec.cover, list(result.model.dec.classes_by_neighborhood)
+        model = result.model
+        assert model.cuts
+        xs = model.dec.cover
         assignments = [{v: rng.randrange(k) for v in xs} for _ in range(50)]
-        for cut, (need, avoid, groups) in result.model.cuts.items():
-            assert need == (1 << xs.index(cut.u)) | (1 << xs.index(cut.v))
-            assert avoid == sum(1 << xs.index(z) for z in cut.z)
-            assert groups == tuple(sorted(sets.index(s) for s in cut.hyperedges))
+        for cut in model.cuts:
+            i, need, avoid, groups = cut
+            assert bin(need).count("1") == 2 and not need & avoid
+            assert list(groups) == sorted(set(groups))
             for x_class in assignments:
-                cm = sum(1 << p for p, v in enumerate(xs) if x_class[v] == cut.class_index)
+                cm = sum(1 << p for p, v in enumerate(xs) if x_class[v] == i)
                 binds = cm & (need | avoid) == need
-                candidate = ModelCandidate(x_class, {s: (0,) * k for s in sets})
-                assert binds == (not cut.satisfied_by(candidate))
+                # Classes of cover vertices only: every y term is zero.
+                classes = [frozenset(v for v in xs if x_class[v] == c) for c in range(k)]
+                assert binds == (not cut_holds(model, cut, classes))
                 seen[binds] += 1
     assert min(seen.values()) >= 50, seen
 

@@ -12,6 +12,7 @@ from bcp.graph import (
     components,
     heaviest_piece,
     is_connected,
+    mask_reach,
     non_cut_vertex,
     non_cut_vertices,
     split_two,
@@ -199,6 +200,25 @@ def test_non_cut_vertex_keeps_connectivity(g):
     s = frozenset(range(g.n))
     u = non_cut_vertex(g, s)
     assert is_connected(g, s - {u})
+
+
+def test_mask_reach_is_the_component_of_the_lowest_bit():
+    """On seeded random graphs with n <= 12, the reach of a mask (empty,
+    one bit, or random) is the `components` class of its lowest bit."""
+    rng = random.Random("mask-reach")
+    seen = {"empty": 0, "single": 0, "split": 0, "whole": 0}
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        g = random_connected_graph(rng, n)
+        nbr = [sum(1 << w for w in g.adjacency[v]) for v in range(n)]
+        masks = [0, 1 << rng.randrange(n)] + [rng.randrange(1 << n) for _ in range(8)]
+        for mask in masks:
+            s = frozenset(v for v in range(n) if mask >> v & 1)
+            expected = sum(1 << v for v in components(g, s)[0]) if s else 0
+            assert mask_reach(nbr, mask) == expected, (g.edges(), mask)
+            kind = "empty" if not s else "single" if len(s) == 1 else "whole" if expected == mask else "split"
+            seen[kind] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 @given(connected_graphs(min_n=2, max_n=9))
