@@ -9,12 +9,15 @@ weight is below the need, (k - opened)·lo plus what the open classes lack
 of lo, or above the room, (k - opened)·hi plus what they may still take up
 to hi.  Enumeration runs the window [0, w(G)], which cuts no completion.
 
-The exact optima run the same search as a branch and bound from [0, w(G)]:
-min-max lowers hi, and max-min raises lo, to each better value found.  The
-window is closed, so every optimal partition is still reached and the
-witness is still the optimum with the lexicographically smallest class
-signature.  Cutting ties too would prune far more where ties dominate (unit
-weights), but it would change which witness is found.
+The exact optima run the same search as a strict branch and bound from
+[0, w(G)]: after each partition found, min-max sets hi to its value - 1,
+and max-min sets lo to its value + 1 (weights are integers, so the step is
+exact), and the last partition found is the optimum.  The search visits
+restricted-growth strings (vertex v's label is the index of its class in
+order of smallest vertex) in lexicographic order, and the window admits
+the first optimum in that order until it is found and nothing after it;
+so the witness is the optimum with the lexicographically smallest
+restricted-growth string.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .partition import Partition
 
 # Hard caps for exhaustive enumeration; exceeding one, or the optional time
 # budget, raises BudgetExceeded rather than truncating silently.
-MAX_VERTICES = 14
+MAX_VERTICES = 16
 MAX_PARTITIONS = 2_000_000
 
 
@@ -139,10 +142,6 @@ def _search(
     yield from recurse(1)
 
 
-def _signature(p: Partition) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(tuple(sorted(c)) for c in p))
-
-
 def _optimum(
     g: WeightedGraph,
     k: int,
@@ -150,27 +149,24 @@ def _optimum(
     objective: Callable[[Iterable[int]], int],
 ) -> tuple[int, Partition]:
     """Optimum over all connected k-partitions of the class-weight objective:
-    max (heaviest class) is minimized by lowering hi, min (lightest class)
-    maximized by raising lo.  The window never admits a worse value, so
-    each value ties or improves the best."""
+    max (heaviest class) is minimized by lowering hi below each value found,
+    min (lightest class) maximized by raising lo above it.  Each partition
+    found is strictly better than the last, so the last is the optimum."""
     window = [0, g.total_weight]
-    side = 1 if objective is max else 0
-    best: tuple[tuple, Partition] | None = None
+    side, step = (1, -1) if objective is max else (0, 1)
+    best: tuple[int, Partition] | None = None
     for weights, p in _search(g, k, max_seconds, window):
-        value = objective(weights)
-        sig = _signature(p)
-        if best is None or value != window[side] or sig < best[0]:
-            window[side] = value
-            best = (sig, p)
+        best = (objective(weights), p)
+        window[side] = best[0] + step
     assert best is not None  # every connected graph has a connected k-partition
-    return window[side], best[1]
+    return best
 
 
 def exact_minmax(
     g: WeightedGraph, k: int, max_seconds: float | None = None
 ) -> tuple[int, Partition]:
     """Minimum heaviest-class weight over all connected k-partitions, with a
-    witness (ties: lexicographically smallest class signature)."""
+    witness (ties: lexicographically smallest restricted-growth string)."""
     return _optimum(g, k, max_seconds, max)
 
 
@@ -178,5 +174,5 @@ def exact_maxmin(
     g: WeightedGraph, k: int, max_seconds: float | None = None
 ) -> tuple[int, Partition]:
     """Maximum lightest-class weight over all connected k-partitions, with a
-    witness (ties: lexicographically smallest class signature)."""
+    witness (ties: lexicographically smallest restricted-growth string)."""
     return _optimum(g, k, max_seconds, min)

@@ -66,16 +66,19 @@ def exhaustive_optimum(
     g: WeightedGraph, k: int, objective: Callable[[Iterable[int]], int]
 ) -> tuple[int, Partition]:
     """Optimum of the class-weight objective (max minimized, min maximized)
-    over every connected k-partition, with the lexicographically smallest
-    class signature among the optima as witness.  The fast path is
-    bcp.oracle._optimum, which bounds the search by its incumbent."""
+    over every connected k-partition, with the optimum of lexicographically
+    smallest restricted-growth string as witness: number the classes by
+    their smallest vertex and read off each vertex's class label.  The fast
+    path is bcp.oracle._optimum, which bounds the search by its incumbent."""
     flip = 1 if objective is max else -1
-    best: tuple[int, tuple, Partition] | None = None
+    best: tuple[int, list[int], Partition] | None = None
     for p in enumerate_connected_kpartitions(g, k):
         value = objective(g.weight(c) for c in p)
-        sig = tuple(sorted(tuple(sorted(c)) for c in p))
-        if best is None or (flip * value, sig) < (flip * best[0], best[1]):
-            best = (value, sig, p)
+        classes = tuple(sorted(p, key=min))
+        label = {v: i for i, c in enumerate(classes) for v in c}
+        rgs = [label[v] for v in range(g.n)]
+        if best is None or (flip * value, rgs) < (flip * best[0], best[1]):
+            best = (value, rgs, classes)
     assert best is not None
     return best[0], best[2]
 

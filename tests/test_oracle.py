@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from bcp.errors import BudgetExceeded, ContractViolation
 from bcp.graph import is_connected
-from bcp.instances import generate
+from bcp.instances import FAMILIES, generate
 import bcp.oracle
 from bcp.oracle import (
     MAX_VERTICES,
@@ -135,6 +135,11 @@ class TestExactValues:
         assert value == 2
         assert frozenset(witness) == {fs(0, 1), fs(2, 3)}
 
+    def test_tie_goes_to_the_smallest_restricted_growth_string(self):
+        # Both splits of the unit P3 weigh 2 at the heaviest class: labels
+        # 0,0,1 come before 0,1,1, although {0} < {0,1} as sorted classes.
+        assert exact_minmax(path_graph(3), 2) == (2, (fs(0, 1), fs(2)))
+
     def test_c4_maxmin_k2(self):
         assert exact_maxmin(cycle_graph(4), 2)[0] == 2
 
@@ -151,10 +156,23 @@ class TestExactValues:
             assert validate(g, witness, k) == []
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_at_the_vertex_cap_solves_inside_two_seconds(family):
+    # A search past the budget raises BudgetExceeded instead of returning.
+    for weights in ((1, 1), (1, 9)):
+        g = generate(family, MAX_VERTICES, weights, 1)
+        for k in (3, 4):
+            for solve, objective in ((exact_minmax, max), (exact_maxmin, min)):
+                value, witness = solve(g, k, max_seconds=2.0)
+                assert validate(g, witness, k) == []
+                assert value == objective(g.weight(c) for c in witness)
+
+
 @pytest.mark.parametrize("max_weight", [1, 9, 1000], ids=["1:1", "1:9", "1:1000"])
 def test_bounded_optimum_matches_exhaustive(max_weight):
-    # The bounded search cuts only strictly worse branches, so value and
-    # witness (the smallest signature among the optima) must not change.
+    # The bounded search cuts every branch that cannot beat its incumbent,
+    # ties included, so the value is the optimum and the witness the first
+    # optimum the search reaches: the smallest restricted-growth string.
     rng = random.Random(f"oracle-bound:{max_weight}")
     for n in range(2, 11):
         for _ in range(6):
