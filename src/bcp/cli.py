@@ -4,9 +4,10 @@ Subcommands: solve (approximation, optionally scaled), exact (brute-force
 oracle), fpt-maxmin (vertex-cover-parameterized exact solver), gen
 (instance generator), validate (partition checker) and bench (CSV harness).
 
-Exit codes: 0 success, 2 input error, 3 budget exceeded.  The environment
-variable BCP_BUDGET_SECONDS caps oracle and fpt-maxmin run time per
-instance; every solving command rejects a malformed value.
+Exit codes: 0 success, 2 input error (a file that cannot be read, decoded
+or written included), 3 budget exceeded.  The environment variable
+BCP_BUDGET_SECONDS caps oracle and fpt-maxmin run time per instance; every
+solving command rejects a malformed value.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -80,12 +82,23 @@ def _parse_fraction(text: str) -> Fraction:
         raise InputError(f"cannot parse {text!r} as a rational") from None
 
 
-def _load_graph(path: str) -> WeightedGraph:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    return parse_instance(text)
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write text as given, without newline translation."""
+    try:
+        Path(path).write_text(text, newline="")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _load_graph(path: str) -> WeightedGraph:
+    return parse_instance(_read_text(path))
 
 
 def _print_partition(g: WeightedGraph, classes: Sequence[frozenset[int]]) -> None:
@@ -200,7 +213,7 @@ def _cmd_fpt_maxmin(args: argparse.Namespace) -> int:
     print(f"cuts: {report.cuts}")
     print(f"time-ms: {report.wall_ms:.1f}")
     if args.dump_model:
-        Path(args.dump_model).write_text(report.model.dump())
+        _write_text(args.dump_model, report.model.dump())
         print(f"model dumped to {args.dump_model}")
     return 0
 
@@ -220,7 +233,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise InputError(str(exc)) from exc
     text = write_instance(g)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(args.out, text)
         print(f"wrote {args.out} (n={g.n}, m={g.m}, W={g.total_weight})")
     else:
         sys.stdout.write(text)
@@ -229,12 +242,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     g = _load_graph(args.instance)
-    try:
-        text = Path(args.partition).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {args.partition}: {exc}") from exc
     classes = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_read_text(args.partition).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -294,19 +303,16 @@ def _bench_one(entry: object, index: int) -> list[object]:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     try:
-        suite = json.loads(Path(args.suite).read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read {args.suite}: {exc}") from exc
+        suite = json.loads(_read_text(args.suite))
     except json.JSONDecodeError as exc:
         raise InputError(f"suite is not valid JSON: {exc}") from exc
     entries = suite.get("entries") if isinstance(suite, dict) else None
     if not isinstance(entries, list):
         raise InputError("suite must hold an 'entries' list")
     rows = [_bench_one(entry, i) for i, entry in enumerate(entries)]
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(BENCH_COLUMNS)
-        writer.writerows(rows)
+    table = io.StringIO()
+    csv.writer(table).writerows([BENCH_COLUMNS, *rows])
+    _write_text(args.out, table.getvalue())
     print(f"wrote {len(rows)} records to {args.out}")
     return 0
 

@@ -58,21 +58,14 @@ def _search(
         raise ContractViolation(f"k must be in [1, {n}], got {k}")
     if n > MAX_VERTICES:
         raise BudgetExceeded(f"{n} vertices exceeds enumeration budget of {MAX_VERTICES}")
-    nbr = tuple(
-        sum(1 << w for w in g.adjacency[v]) for v in range(n)
-    )
+    nbr = tuple(sum(1 << w for w in g.adjacency[v]) for v in range(n))
     weight = g.weights
-    rest = [0] * (n + 1)  # rest[v]: weight of the unassigned vertices v..n-1
-    for v in range(n - 1, -1, -1):
-        rest[v] = rest[v + 1] + weight[v]
-    full = (1 << n) - 1
     deadline = time.monotonic() + max_seconds if max_seconds is not None else None
     yielded = 0
     ticks = 0
 
-    masks: list[int] = [1]  # vertex 0 opens class 0
-    nbrs: list[int] = [nbr[0]]
-    weights: list[int] = [weight[0]]
+    # One (vertex mask, neighbour mask, weight) per class; vertex 0 opens one.
+    classes: list[tuple[int, int, int]] = [(1, nbr[0], weight[0])]
 
     known = bytearray(1 << n)  # per class mask: 0 not seen, 1 disconnected, 2 connected
 
@@ -89,29 +82,31 @@ def _search(
         if deadline is not None and ticks % 512 == 1 and time.monotonic() >= deadline:
             raise BudgetExceeded("enumeration time budget exceeded")
         lo, hi = window
-        opened = len(masks)
-        unassigned = full & ~((1 << v) - 1)
+        opened = len(classes)
+        unassigned = -1 << v  # vertices v..n-1, as masks hold only bits below n
         # The window rule of the module docstring; at a leaf every class is
         # closed and need = room = 0.
         need = (k - opened) * lo
         room = (k - opened) * hi
-        for m, nb, wc in zip(masks, nbrs, weights):
+        left = g.total_weight  # less every class below: the unassigned weight
+        for m, nb, wc in classes:
             if wc > hi:
                 return
+            left -= wc
             if nb & unassigned:
                 room += hi - wc
                 if wc < lo:
                     need += lo - wc
             elif wc < lo or not connected(m):
                 return
-        if not need <= rest[v] <= room:
+        if not need <= left <= room:
             return
         if v == n:  # k classes: every node leaves enough vertices to open them
             yielded += 1
             if yielded > MAX_PARTITIONS:
                 raise BudgetExceeded(f"more than {MAX_PARTITIONS} partitions")
-            yield tuple(weights), tuple(
-                frozenset(u for u in range(n) if m >> u & 1) for m in masks
+            yield tuple(wc for _, _, wc in classes), tuple(
+                frozenset(u for u in range(n) if m >> u & 1) for m, _, _ in classes
             )
             return
         bit = 1 << v
@@ -120,24 +115,16 @@ def _search(
         # v may join a class only if the n - v - 1 vertices after it can
         # still open the classes missing.
         for c in range(opened if opened + (n - v) > k else 0):
-            if nbrs[c] & unassigned == 0 or weights[c] > cap:
+            m, nb, wc = old = classes[c]
+            if nb & unassigned == 0 or wc > cap:
                 continue  # closed, so v could never reconnect to it; or too heavy
-            saved = nbrs[c]
-            masks[c] |= bit
-            nbrs[c] |= nbr[v]
-            weights[c] += wv
+            classes[c] = (m | bit, nb | nbr[v], wc + wv)
             yield from recurse(v + 1)
-            masks[c] &= ~bit
-            nbrs[c] = saved
-            weights[c] -= wv
+            classes[c] = old
         if opened < k and cap >= 0:
-            masks.append(bit)
-            nbrs.append(nbr[v])
-            weights.append(wv)
+            classes.append((bit, nbr[v], wv))
             yield from recurse(v + 1)
-            masks.pop()
-            nbrs.pop()
-            weights.pop()
+            classes.pop()
 
     yield from recurse(1)
 

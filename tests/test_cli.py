@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bcp.cli
@@ -354,6 +354,25 @@ class TestBench:
         bad.write_text("{entries")
         assert run_cli(["bench", "--suite", str(bad), "--out", out]) == 2
         assert "suite is not valid JSON" in capsys.readouterr().err
+        bad.write_bytes(b'{"entries": [{"family": "star\xff"}]}')
+        assert run_cli(["bench", "--suite", str(bad), "--out", out]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen", "bench", "fpt-maxmin"])
+def test_unwritable_output_is_exit_2(command, path4, tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(
+        {"entries": [{"family": "star", "n": 5, "k": 3, "algorithm": "minmax-bcpk"}]}
+    ))
+    target = str(tmp_path / "missing" / "out.txt")
+    argv = {
+        "gen": ["gen", "--family", "star", "--n", "5", "--out", target],
+        "bench": ["bench", "--suite", str(suite), "--out", target],
+        "fpt-maxmin": ["fpt-maxmin", path4, "--k", "2", "--cover", "1,2", "--dump-model", target],
+    }[command]
+    assert run_cli(argv) == 2
+    assert f"error: cannot write {target}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "exact", "fpt-maxmin", "bench"])
@@ -427,16 +446,25 @@ def instance_texts(draw):
     return "\n".join(lines)
 
 
+def _or_raw_bytes(texts):
+    """The texts' UTF-8 encodings, or raw bytes, mostly not valid UTF-8."""
+    return st.one_of(texts.map(str.encode), st.binary(max_size=40))
+
+
 @given(
-    instance_texts(),
-    st.lists(st.lists(_TOKENS, max_size=4).map(" ".join), max_size=5).map("\n".join),
+    _or_raw_bytes(instance_texts()),
+    _or_raw_bytes(
+        st.lists(st.lists(_TOKENS, max_size=4).map(" ".join), max_size=5).map("\n".join)
+    ),
 )
+@example(b"p bcp 1 0\nv 0 \xff\n", b"0\n")
+@example(b"p bcp 1 0\nv 0 1\n", b"0\xff\n")
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_files_exit_0_or_2(instance, partition):
     with tempfile.TemporaryDirectory() as tmp:
         inst, part = Path(tmp, "g.bcp"), Path(tmp, "p.txt")
-        inst.write_text(instance)
-        part.write_text(partition)
+        inst.write_bytes(instance)
+        part.write_bytes(partition)
         assert run_cli(["solve", str(inst), "--k", "3"]) in (0, 2)
         assert run_cli(["validate", str(inst), str(part)]) in (0, 2)
 

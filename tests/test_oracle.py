@@ -224,7 +224,9 @@ class CountingWindow(list):
 @pytest.mark.parametrize(
     "family, k, nodes",
     [("grid", 3, (19536, 1616, 2773)), ("tree-plus-edges", 3, (11540, 1505, 3100)),
-     ("random-tree", 4, (14305, 1062, 1680))],
+     ("random-tree", 4, (14305, 1062, 1680)), ("spider", 2, (852, 661, 686)),
+     ("star", 3, (285, 92, 47)), ("tree-plus-edges", 5, (59006, 714, 4016)),
+     ("grid", 5, (92957, 1113, 3864))],
 )
 def test_window_cuts_pin_node_counts(family, k, nodes):
     # Outputs cannot show a lost cut, only the work can: nodes visited for
