@@ -97,6 +97,13 @@ def _write_text(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _refuse_unwritable(path: str) -> None:
+    """Fail before any solving when the output path is a directory or its
+    directory is missing; `_write_text` reports every other write error."""
+    if Path(path).is_dir() or not Path(path).parent.is_dir():
+        raise InputError(f"cannot write {path}: not a file in an existing directory")
+
+
 def _load_graph(path: str) -> WeightedGraph:
     return parse_instance(_read_text(path))
 
@@ -201,6 +208,8 @@ def _cmd_fpt_maxmin(args: argparse.Namespace) -> int:
             cover = [int(tok) for tok in args.cover.split(",") if tok]
         except ValueError:
             raise InputError(f"bad cover list {args.cover!r}") from None
+    if args.dump_model:
+        _refuse_unwritable(args.dump_model)
     report = _run(g, args.k, "fpt-maxmin", cover=cover)
     print(f"instance: {args.instance} (n={g.n}, m={g.m})")
     print("objective: maxmin (unweighted)")
@@ -309,6 +318,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     entries = suite.get("entries") if isinstance(suite, dict) else None
     if not isinstance(entries, list):
         raise InputError("suite must hold an 'entries' list")
+    _refuse_unwritable(args.out)
     rows = [_bench_one(entry, i) for i, entry in enumerate(entries)]
     table = io.StringIO()
     csv.writer(table).writerows([BENCH_COLUMNS, *rows])

@@ -7,8 +7,6 @@ they never mutate their inputs, so values can be shared freely.
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
@@ -181,8 +179,6 @@ def mask_reach(nbr: Sequence[int], within: int) -> int:
     """Bitmask flood fill: the bits of `within` reachable from its lowest bit
     through bits of `within`, where nbr[b] is the neighbour mask of bit b;
     0 when `within` is 0."""
-    if within == 0:
-        return 0
     seed = within & -within
     reach = seed
     frontier = seed
@@ -220,32 +216,24 @@ def _dfs_tree(
 
 
 def non_cut_vertex(g: WeightedGraph, s: VertexSet) -> int:
-    """A vertex of s whose removal keeps G[s] connected; see `non_cut_vertices`."""
+    """A vertex of s whose removal keeps G[s] connected, at the cost of one
+    DFS: the first pick of `non_cut_vertices`."""
     return next(non_cut_vertices(g, s))
 
 
 def non_cut_vertices(g: WeightedGraph, s: VertexSet) -> Iterator[int]:
     """Vertices of s to remove one by one, each keeping the rest connected,
-    until min(s) is left: each is the lowest-id non-root leaf of the DFS
-    tree of what is left, rooted at min(s).  One tree serves every pick.
-    The DFS reached nothing through a leaf u, so without u it runs the same
-    and its tree is the old one less u; u's parent becomes a leaf when u was
-    its last child, unless it is the root.  A heap keeps the leaves."""
+    until min(s) is left: the DFS preorder of s from min(s), backwards and
+    without the root.  The last vertex of a preorder is a leaf of the DFS
+    tree, so removing it keeps the rest connected, and the DFS of the rest
+    visits the same vertices in the same order.  So one DFS, run at the
+    first pick, serves every pick."""
     if len(s) < 2:
         raise ContractViolation("non_cut_vertex() requires at least two vertices")
-    root = min(s)
-    order, parent = _dfs_tree(g, s, root)
+    order = _dfs_tree(g, s, min(s))[0]
     if len(order) != len(s):
         raise ContractViolation("non_cut_vertex() requires a connected vertex set")
-    children = Counter(parent[v] for v in order[1:])
-    leaves = [v for v in order if not children[v]]
-    heapq.heapify(leaves)
-    while leaves:
-        u = heapq.heappop(leaves)
-        yield u
-        children[parent[u]] -= 1
-        if not children[parent[u]] and parent[u] != root:
-            heapq.heappush(leaves, parent[u])
+    yield from order[:0:-1]
 
 
 def split_two(g: WeightedGraph, s: VertexSet) -> tuple[VertexSet, VertexSet]:

@@ -140,11 +140,11 @@ def pull(
 
 
 def initial_3partition(g: WeightedGraph) -> Partition:
-    """Deterministic starting point: the last two vertices of the DFS
-    preorder from vertex 0 become singleton classes.  Each vertex's parent
-    precedes it in the preorder, so every prefix, and in particular the
-    rest, induces a connected subgraph: the classes come in `sort_classes`
-    order unchecked."""
+    """Deterministic starting point: the peel rule of `split_off_singletons`
+    on the whole graph, one DFS from vertex 0 whose last two preorder
+    vertices become singleton classes.  Each vertex's parent precedes it in
+    the preorder, so every prefix, and in particular the rest, induces a
+    connected subgraph: the classes come in `sort_classes` order unchecked."""
     if g.n < 3:
         raise ContractViolation("need at least 3 vertices for a 3-partition")
     *rest, second, last = _dfs_tree(g, frozenset(range(g.n)), 0)[0]
@@ -222,11 +222,11 @@ def star_center_certificate(g: WeightedGraph, p: Partition) -> StarCenterCertifi
 
 
 def split_off_singletons(g: WeightedGraph, p: Partition, q: int) -> Partition:
-    """Grow a partition by q classes, each time cutting the vertex
-    `graph.non_cut_vertex` picks out of the heaviest class with at least two
-    members (ties: smallest id); the singletons follow in cut order.  The
-    heaviest class weight never increases.  Cost: one DFS per split class,
-    at its first pick, then a heap step per singleton."""
+    """Grow a partition by q classes, each time cutting from the heaviest
+    class with at least two members (ties: smallest id) the last vertex of
+    its DFS preorder from its smallest id (`graph.non_cut_vertices`); the
+    singletons follow in cut order, and the heaviest weight never grows.
+    Cost: one DFS per split class, then a class-heap step per singleton."""
     if q < 0 or len(p) + q > g.n:
         raise ContractViolation(f"cannot add {q} singleton classes")
     # (-weight, smallest id, size, index in p) of each class left to split

@@ -255,8 +255,8 @@ class TestBench:
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(["bench", "--suite", suite, "--out", str(out1)]) == 0
         assert run_cli(["bench", "--suite", suite, "--out", str(out2)]) == 0
-        rows1 = list(csv.reader(out1.open()))
-        rows2 = list(csv.reader(out2.open()))
+        rows1 = list(csv.reader(out1.read_text().splitlines()))
+        rows2 = list(csv.reader(out2.read_text().splitlines()))
         assert rows1[0] == [
             "instance_id", "n", "m", "k", "algorithm", "value",
             "bound_kind", "bound", "ratio", "iterations", "cuts", "wall_ms",
@@ -269,7 +269,7 @@ class TestBench:
         suite = self.suite(tmp_path)
         out = tmp_path / "r.csv"
         run_cli(["bench", "--suite", suite, "--out", str(out)])
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         star = rows[0]
         assert star["algorithm"] == "minmax-bcpk"
         assert star["bound_kind"] == "cut-vertex"
@@ -282,7 +282,7 @@ class TestBench:
         suite = self.suite(tmp_path)
         out = tmp_path / "s.csv"
         assert run_cli(["bench", "--suite", suite, "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         entries = json.loads((tmp_path / "suite.json").read_text())["entries"]
         commands = {
             "minmax-bcpk": ["solve"],
@@ -360,19 +360,24 @@ class TestBench:
 
 
 @pytest.mark.parametrize("command", ["gen", "bench", "fpt-maxmin"])
-def test_unwritable_output_is_exit_2(command, path4, tmp_path, capsys):
+def test_unwritable_output_is_exit_2(command, path4, tmp_path, capsys, monkeypatch):
+    """A missing directory or a directory as the output path; bench and
+    fpt-maxmin refuse it before they solve."""
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps(
         {"entries": [{"family": "star", "n": 5, "k": 3, "algorithm": "minmax-bcpk"}]}
     ))
-    target = str(tmp_path / "missing" / "out.txt")
-    argv = {
-        "gen": ["gen", "--family", "star", "--n", "5", "--out", target],
-        "bench": ["bench", "--suite", str(suite), "--out", target],
-        "fpt-maxmin": ["fpt-maxmin", path4, "--k", "2", "--cover", "1,2", "--dump-model", target],
-    }[command]
-    assert run_cli(argv) == 2
-    assert f"error: cannot write {target}" in capsys.readouterr().err
+    monkeypatch.setattr(bcp.cli, "_run", lambda *args, **kwargs: pytest.fail("solved first"))
+    for target in (str(tmp_path / "missing" / "out.txt"), str(tmp_path)):
+        argv = {
+            "gen": ["gen", "--family", "star", "--n", "5", "--out", target],
+            "bench": ["bench", "--suite", str(suite), "--out", target],
+            "fpt-maxmin": [
+                "fpt-maxmin", path4, "--k", "2", "--cover", "1,2", "--dump-model", target,
+            ],
+        }[command]
+        assert run_cli(argv) == 2
+        assert f"error: cannot write {target}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "exact", "fpt-maxmin", "bench"])

@@ -17,7 +17,7 @@ CASES = [
      "2e0c2e62b75156326973b9d961ab6ed69248744d8d09e73cb1b3de4c35dde407", None),
     ("solve-tree", "random-tree", 40, (1, 9), 2,
      ["solve", "--k", "4"],
-     "8cbaf46b7025f5f3d120e0a84f600cf097b61e864ba646fb8e4638cbebaedd28", None),
+     "2b9883610a7d86beb9948f6f7b9fea88f19d8d9aca7ab6323d30bb8e54664097", None),
     ("solve-grid", "grid", 36, (1, 5), 3,
      ["solve", "--k", "5"],
      "298699173e27ffd7302d46796c685b79b45b15c6a1c3f3aae81d126c1700eadb", None),
@@ -26,7 +26,7 @@ CASES = [
      "b10ad127f0eabe5273c1bad6382abd528d10b670f0823a0e22635476b65a397a", None),
     ("solve-tree-plus-edges", "tree-plus-edges", 50, (1, 9), 5,
      ["solve", "--k", "6"],
-     "8445d95bbf01ec5494e1548638542cf6d8653a5e66452aca30c25ddb9f745828", None),
+     "1bd11d03852b34ef06f5e544826014d3dd73184ff8641da69ea2a6e453c9d74f", None),
     ("solve-spider-weighted", "spider", 200, (1, 3), 6,
      ["solve", "--k", "7"],
      "28b42b95ac0ad9831202ed271e3ffd9f9861986ddb9941eb4096e1ed870820a0", None),

@@ -230,9 +230,8 @@ def test_non_cut_vertices_repeat_non_cut_vertex(g):
     for s in sets:
         expected, left = [], s
         while len(left) > 1:
-            # The rule from scratch: the lowest-id non-root leaf of a fresh tree.
-            parent = dfs_tree_recursive(g, left, min(left))[1]
-            u = min(left - set(parent.values()))
+            # The rule from scratch: the last vertex of a fresh preorder.
+            u = dfs_tree_recursive(g, left, min(left))[0][-1]
             assert non_cut_vertex(g, left) == u
             expected.append(u)
             left = left - {u}
@@ -348,6 +347,28 @@ class TestHeaviestPiece:
     def test_lone_vertex_rejected(self):
         with pytest.raises(ContractViolation):
             heaviest_piece(path_graph(3), fs(1), 1, 1)
+
+    def test_work_is_bounded_by_the_finished_pieces(self):
+        """Adjacency reads stay within a small multiple of deg(v) times the
+        largest finished piece, however long the unwalked rest: at the
+        centre of a spider with legs of 1, 1 and 2,000 vertices the two
+        short legs finish in one round and the long one is never walked."""
+
+        class CountingAdjacency(tuple):
+            reads = 0
+
+            def __getitem__(self, v):
+                self.reads += 1
+                return tuple.__getitem__(self, v)
+
+        edges = [(0, 1), (0, 2), (0, 3)] + [(v, v + 1) for v in range(3, 2002)]
+        g = WeightedGraph.from_edges(2003, edges)
+        adjacency = CountingAdjacency(g.adjacency)
+        g = WeightedGraph(g.n, adjacency, g.weights)
+        s = frozenset(range(g.n))
+        assert heaviest_piece(g, s, 0, g.n) == (s - fs(0, 1, 2), 2000, fs(0, 1, 2))
+        degree, largest_finished = 3, 1
+        assert adjacency.reads <= 1 + 2 * degree * largest_finished
 
     def test_matches_components(self):
         """H, w(H) and U agree with sorting `components(g, s - {v})`, for every
