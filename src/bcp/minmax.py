@@ -12,15 +12,26 @@ star center.
 Each move strictly decreases the heaviest class weight, so with integer
 weights the loop runs at most w(G) iterations.
 
-A move pays only for what moves.  The loop carries the three class weights
-beside the partition, so no move sums a class it does not change.  A pull
-tries the vertices v of V3 next to Vi; for each it searches the pieces of
-V3 - v from all of v's neighbours at once and stops when one search is
-left (`graph.heaviest_piece`), so it walks the pieces cut off V3 and about
-as much of the heaviest, not all of V3.  Set operations in C (V3 - U, and
-the smallest id of a class on weight ties) and listing Vi's boundary with
-V3 still scan whole classes.  A merge splits V3 along a spanning tree of
-G[V3], so it walks all of V3, but merges are rare.
+A move pays only for what moves.  The loop carries, beside the partition,
+each class's weight and its outer boundary B(C) = N(C) - C, so no move sums
+or scans a class it does not change.  The start reads only the two light
+classes' adjacency, and they are singletons after `initial_3partition`.
+
+- A pull tries the vertices v of B(Vi) & V3, ascending.  For each it
+  searches the pieces of V3 - v from all of v's neighbours at once and stops
+  when one search is left (`graph.heaviest_piece`), so it walks the pieces
+  cut off V3 and about as much of the heaviest, not all of V3.  Moving
+  U = V3 - H into Vi updates B(Vi) and B(H) from the adjacency of B(V3) and
+  of B(Vi) & U, which holds v, without reading U's; the other light class
+  keeps its boundary.
+- A merge tests B(V1) against V2, fuses B(V1) and B(V2), and splits V3
+  along a spanning tree of G[V3], so it walks all of V3, as do the two
+  halves' boundaries; merges are rare.
+
+What still scans whole classes is set work in C: copying Vi | U and V3 - U,
+and the smallest id of a class on a weight tie, which is rare.  The loop's
+terminal check recomputes the boundaries from scratch, so a wrong update
+raises InternalError instead of changing an answer.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .errors import ContractViolation, InternalError
 from .graph import (
@@ -61,50 +73,77 @@ class BcpkResult:
 
 
 Weights = tuple[int, int, int]
+Boundaries = tuple[VertexSet, VertexSet, VertexSet]
+Moved = tuple[Partition, Weights, Boundaries]
 
 
-def _ordered(classes: Partition, weights: Weights) -> tuple[Partition, Weights]:
-    """Three classes and their weights in `sort_classes` order; a class's
-    smallest id is looked up only to break a weight tie."""
+def _boundary(g: WeightedGraph, c: VertexSet) -> VertexSet:
+    """B(c) = N(c) - c, from the adjacency of every member of c."""
+    return frozenset(chain.from_iterable(map(g.adjacency.__getitem__, c))) - c
+
+
+def _boundaries(g: WeightedGraph, p: Partition) -> Boundaries:
+    """B(C) of each class of a 3-partition, from scratch but reading only
+    the adjacency of V1 and V2: B(V3) holds their members that touch V3."""
+    v1, v2, v3 = p
+    adjacency = g.adjacency
+    b3 = frozenset(x for x in chain(v1, v2) if not v3.isdisjoint(adjacency[x]))
+    return _boundary(g, v1), _boundary(g, v2), b3
+
+
+def _ordered(classes: Partition, weights: Weights, boundaries: Boundaries) -> Moved:
+    """Three classes, their weights and their boundaries in `sort_classes`
+    order; a class's smallest id is looked up only to break a weight tie."""
     tied = len(set(weights)) < 3
     i, j, k = sorted(range(3), key=lambda c: (weights[c], min(classes[c]) if tied else 0))
-    return (classes[i], classes[j], classes[k]), (weights[i], weights[j], weights[k])
+    return (
+        (classes[i], classes[j], classes[k]),
+        (weights[i], weights[j], weights[k]),
+        (boundaries[i], boundaries[j], boundaries[k]),
+    )
 
 
 def merge(
-    g: WeightedGraph, p: Partition, weights: Weights
-) -> tuple[Partition, Weights] | None:
+    g: WeightedGraph, p: Partition, weights: Weights, boundaries: Boundaries
+) -> Moved | None:
     """Fuse V1 with V2 and split V3 into two connected halves.
 
-    `weights` are p's class weights as the loop carries them; p must be in
-    `sort_classes` order, which no move checks.  Requires w(V3) > w(G)/2.
-    Returns None when the move does not apply: V1 and V2 are not adjacent,
-    or |V3| < 2.  Otherwise the result is the ordered partition and its
-    weights; its heaviest class is strictly lighter than the old V3, and its
-    classes are connected by construction: V1 touches V2, and the halves are
-    the sides of a deleted spanning-tree edge of G[V3].
+    `weights` and `boundaries` are p's class weights and outer boundaries
+    N(C) - C as the loop carries them; p must be in `sort_classes` order,
+    which no move checks.  Requires w(V3) > w(G)/2.  Returns None when the
+    move does not apply: V1 and V2 are not adjacent, or |V3| < 2.  Otherwise
+    the result is the ordered partition, its weights and its boundaries; its
+    heaviest class is strictly lighter than the old V3, and its classes are
+    connected by construction: V1 touches V2, and the halves are the sides
+    of a deleted spanning-tree edge of G[V3].
     """
     w1, w2, w3 = weights
     v1, v2, v3 = p
+    b1, b2, _ = boundaries
     if 2 * w3 <= g.total_weight:
         raise ContractViolation("merge() requires w(V3) > w(G)/2")
-    if len(v3) < 2 or not boundary_neighbors(g, v1, v2):
+    if len(v3) < 2 or b1.isdisjoint(v2):
         return None
+    fused = v1 | v2
     a, b = split_two(g, v3)
     wb = g.weight(b)
-    return _ordered((v1 | v2, a, b), (w1 + w2, w3 - wb, wb))
+    return _ordered(
+        (fused, a, b),
+        (w1 + w2, w3 - wb, wb),
+        ((b1 | b2) - fused, _boundary(g, a), _boundary(g, b)),
+    )
 
 
 def pull_check(
-    g: WeightedGraph, p: Partition, i: int, weights: Weights
+    g: WeightedGraph, p: Partition, i: int, weights: Weights, boundaries: Boundaries
 ) -> tuple[VertexSet, int, VertexSet] | None:
     """Find a pull-admissible subset U of V3 for light class i in {1, 2},
     its weight, and V3 - U.
 
-    `weights` are as for `merge`.  Scans the vertices v of V3 adjacent to Vi
-    ascending; the lightest set around v is U = V3 - H for the heaviest
-    component H of V3 - v, and it applies iff w(Vi) < w(H).  Vi | U is
-    connected, since every component of V3 - v touches v, and V3 - U = H.
+    `weights` and `boundaries` are as for `merge`.  Scans the vertices v of
+    B(Vi) & V3 ascending; the lightest set around v is U = V3 - H for the
+    heaviest component H of V3 - v, and it applies iff w(Vi) < w(H).  Vi | U
+    is connected, since every component of V3 - v touches v, and V3 - U = H.
     Returns None only if no pull-admissible set exists at all.
     """
     if i not in (1, 2):
@@ -115,7 +154,7 @@ def pull_check(
     v3 = p[2]
     if len(v3) < 2:
         return None
-    for v in boundary_neighbors(g, p[i - 1], v3):
+    for v in sorted(boundaries[i - 1] & v3):
         heavy, heavy_weight, u = heaviest_piece(g, v3, v, w3)
         if weights[i - 1] < heavy_weight:
             return u, w3 - heavy_weight, heavy
@@ -123,19 +162,37 @@ def pull_check(
 
 
 def pull(
-    g: WeightedGraph, p: Partition, i: int, weights: Weights
-) -> tuple[Partition, Weights] | None:
-    """Move the set `pull_check(g, p, i, weights)` finds from V3 into light
-    class i in {1, 2}, and return the reordered partition and its weights,
-    or None when it finds none.  The three classes stay connected by
-    `pull_check`'s construction of the set."""
-    found = pull_check(g, p, i, weights)
+    g: WeightedGraph, p: Partition, i: int, weights: Weights, boundaries: Boundaries
+) -> Moved | None:
+    """Move the set `pull_check(g, p, i, weights, boundaries)` finds from V3
+    into light class i in {1, 2}, and return the reordered partition, its
+    weights and its boundaries, or None when it finds none.  The three
+    classes stay connected by `pull_check`'s construction of the set.
+
+    Only the two changed boundaries are updated, at the cost of B(V3) and
+    of v, the vertex `pull_check` tried, not of U.  The rest H is a
+    component of V3 - v, so v is its only neighbour in U, and v lies in
+    B(Vi) & U.  So B(H) is v and the members of B(V3) that touch H, and
+    B(Vi | U) is B(Vi) - U, v's neighbours in H, and the members of B(V3)
+    in the other light class that touch U.
+    """
+    found = pull_check(g, p, i, weights, boundaries)
     if found is None:
         return None
     u, wu, rest = found
+    adjacency = g.adjacency
+    bi, b3, other = boundaries[i - 1], boundaries[2], p[2 - i]
+    v = next(x for x in bi & u if not rest.isdisjoint(adjacency[x]))
+    grown = p[i - 1] | u
+    grown_boundary = (bi - u).union(
+        rest.intersection(adjacency[v]),
+        (y for y in b3 & other if not u.isdisjoint(adjacency[y])),
+    )
+    rest_boundary = frozenset({v}).union(x for x in b3 if not rest.isdisjoint(adjacency[x]))
     return _ordered(
-        (p[2 - i], p[i - 1] | u, rest),
+        (p[2 - i], grown, rest),
         (weights[2 - i], weights[i - 1] + wu, weights[2] - wu),
+        (boundaries[2 - i], grown_boundary, rest_boundary),
     )
 
 
@@ -157,27 +214,33 @@ def _improvement_loop(g: WeightedGraph, p: Partition) -> tuple[Partition, int]:
 
     Returns the terminal ordered partition and the iteration count; aborts if
     the heaviest weight ever fails to strictly decrease.  The moves build
-    connected classes and their weights unchecked; `order3` validates the
-    terminal partition once and raises ContractViolation if a move broke it,
-    and InternalError follows if the carried weights or order drifted.
+    connected classes, their weights and their boundaries unchecked; `order3`
+    validates the terminal partition once and raises ContractViolation if a
+    move broke it, and InternalError follows if the carried weights,
+    boundaries or order drifted from their values recomputed from scratch.
     """
     total = g.total_weight
     iterations = 0
     weights = tuple(map(g.weight, p))
+    boundaries = _boundaries(g, p)
     while 2 * weights[2] > total:
-        moved = merge(g, p, weights) or pull(g, p, 1, weights) or pull(g, p, 2, weights)
+        moved = (
+            merge(g, p, weights, boundaries)
+            or pull(g, p, 1, weights, boundaries)
+            or pull(g, p, 2, weights, boundaries)
+        )
         if moved is None:
             break
         before = weights[2]
-        p, weights = moved
+        p, weights, boundaries = moved
         iterations += 1
         if weights[2] >= before:
             raise InternalError("heaviest class weight did not decrease")
         if iterations > total + 1:
             raise InternalError("improvement loop exceeded its w(G) bound")
     terminal = order3(g, p)
-    if terminal != p or tuple(map(g.weight, p)) != weights:
-        raise InternalError("the carried class weights or order drifted")
+    if terminal != p or tuple(map(g.weight, p)) != weights or _boundaries(g, p) != boundaries:
+        raise InternalError("the carried class weights, boundaries or order drifted")
     return terminal, iterations
 
 

@@ -38,7 +38,7 @@ from .conftest import (
     random_connected_graph,
     star_graph,
 )
-from .reference import cut_holds, minmax_bcp3, model_order, oracle_pull_admissible
+from .reference import carried, cut_holds, minmax_bcp3, model_order, oracle_pull_admissible
 
 KS = (3, 4, 5)
 
@@ -144,7 +144,7 @@ def test_criterion_04_pull_check_complete():
             if 2 * g.weight(p[2]) <= g.total_weight:
                 continue
             for i in (1, 2):
-                found = pull_check(g, p, i, tuple(g.weight(c) for c in p))
+                found = pull_check(g, p, i, *carried(g, p))
                 fast = None if found is None else found[0]
                 slow = oracle_pull_admissible(g, p, i)
                 assert (fast is None) == (slow is None), (g.edges(), p, i)
