@@ -393,7 +393,15 @@ def run_cli(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        status = run_cli(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull, so that the
+        # interpreter's final flush does not raise again, and exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -12,10 +12,11 @@ star center.
 Each move strictly decreases the heaviest class weight, so with integer
 weights the loop runs at most w(G) iterations.
 
-A move pays only for what moves.  The loop carries, beside the partition,
-each class's weight and its outer boundary B(C) = N(C) - C, so no move sums
-or scans a class it does not change.  The start reads only the two light
-classes' adjacency, and they are singletons after `initial_3partition`.
+A move pays only for what moves.  The loop keeps one record per class,
+(members, weight, outer boundary B(C) = N(C) - C), the three in
+`sort_classes` order, so no move sums or scans a class it does not change.
+The start reads only the two light classes' adjacency, and they are
+singletons after `initial_3partition`.
 
 - A pull tries the vertices v of B(Vi) & V3, ascending.  For each it
   searches the pieces of V3 - v from all of v's neighbours at once and stops
@@ -30,7 +31,7 @@ classes' adjacency, and they are singletons after `initial_3partition`.
 
 What still scans whole classes is set work in C: copying Vi | U and V3 - U,
 and the smallest id of a class on a weight tie, which is rare.  The loop's
-terminal check recomputes the boundaries from scratch, so a wrong update
+terminal check rebuilds the records from scratch, so a wrong update
 raises InternalError instead of changing an answer.
 """
 
@@ -72,9 +73,8 @@ class BcpkResult:
     iterations: int
 
 
-Weights = tuple[int, int, int]
-Boundaries = tuple[VertexSet, VertexSet, VertexSet]
-Moved = tuple[Partition, Weights, Boundaries]
+Record = tuple[VertexSet, int, VertexSet]  # (members, weight, outer boundary N(C) - C)
+State = tuple[Record, Record, Record]
 
 
 def _boundary(g: WeightedGraph, c: VertexSet) -> VertexSet:
@@ -82,44 +82,39 @@ def _boundary(g: WeightedGraph, c: VertexSet) -> VertexSet:
     return frozenset(chain.from_iterable(map(g.adjacency.__getitem__, c))) - c
 
 
-def _boundaries(g: WeightedGraph, p: Partition) -> Boundaries:
-    """B(C) of each class of a 3-partition, from scratch but reading only
-    the adjacency of V1 and V2: B(V3) holds their members that touch V3."""
+def _records(g: WeightedGraph, p: Partition) -> State:
+    """The record of each class of a 3-partition, from scratch but reading
+    only the adjacency of V1 and V2, once each: B(V3) holds their members
+    that touch V3."""
     v1, v2, v3 = p
-    adjacency = g.adjacency
-    b3 = frozenset(x for x in chain(v1, v2) if not v3.isdisjoint(adjacency[x]))
-    return _boundary(g, v1), _boundary(g, v2), b3
+    light = []
+    b3: list[int] = []
+    for c in (v1, v2):
+        lists = {x: g.adjacency[x] for x in c}
+        b3 += (x for x, ys in lists.items() if not v3.isdisjoint(ys))
+        light.append((c, g.weight(c), frozenset(chain.from_iterable(lists.values())) - c))
+    return light[0], light[1], (v3, g.weight(v3), frozenset(b3))
 
 
-def _ordered(classes: Partition, weights: Weights, boundaries: Boundaries) -> Moved:
-    """Three classes, their weights and their boundaries in `sort_classes`
-    order; a class's smallest id is looked up only to break a weight tie."""
-    tied = len(set(weights)) < 3
-    i, j, k = sorted(range(3), key=lambda c: (weights[c], min(classes[c]) if tied else 0))
-    return (
-        (classes[i], classes[j], classes[k]),
-        (weights[i], weights[j], weights[k]),
-        (boundaries[i], boundaries[j], boundaries[k]),
-    )
+def _ordered(*records: Record) -> State:
+    """Three records in `sort_classes` order; a class's smallest id is
+    looked up only to break a weight tie."""
+    tied = len({weight for _, weight, _ in records}) < 3
+    return tuple(sorted(records, key=lambda r: (r[1], min(r[0]) if tied else 0)))
 
 
-def merge(
-    g: WeightedGraph, p: Partition, weights: Weights, boundaries: Boundaries
-) -> Moved | None:
+def merge(g: WeightedGraph, state: State) -> State | None:
     """Fuse V1 with V2 and split V3 into two connected halves.
 
-    `weights` and `boundaries` are p's class weights and outer boundaries
-    N(C) - C as the loop carries them; p must be in `sort_classes` order,
-    which no move checks.  Requires w(V3) > w(G)/2.  Returns None when the
-    move does not apply: V1 and V2 are not adjacent, or |V3| < 2.  Otherwise
-    the result is the ordered partition, its weights and its boundaries; its
-    heaviest class is strictly lighter than the old V3, and its classes are
-    connected by construction: V1 touches V2, and the halves are the sides
-    of a deleted spanning-tree edge of G[V3].
+    `state` is the loop's records of an ordered 3-partition, which no move
+    checks.  Requires w(V3) > w(G)/2.  Returns None when the move does not
+    apply: V1 and V2 are not adjacent, or |V3| < 2.  Otherwise the result is
+    the records of the ordered partition; its heaviest class is strictly
+    lighter than the old V3, and its classes are connected by construction:
+    V1 touches V2, and the halves are the sides of a deleted spanning-tree
+    edge of G[V3].
     """
-    w1, w2, w3 = weights
-    v1, v2, v3 = p
-    b1, b2, _ = boundaries
+    (v1, w1, b1), (v2, w2, b2), (v3, w3, _) = state
     if 2 * w3 <= g.total_weight:
         raise ContractViolation("merge() requires w(V3) > w(G)/2")
     if len(v3) < 2 or b1.isdisjoint(v2):
@@ -128,46 +123,41 @@ def merge(
     a, b = split_two(g, v3)
     wb = g.weight(b)
     return _ordered(
-        (fused, a, b),
-        (w1 + w2, w3 - wb, wb),
-        ((b1 | b2) - fused, _boundary(g, a), _boundary(g, b)),
+        (fused, w1 + w2, (b1 | b2) - fused),
+        (a, w3 - wb, _boundary(g, a)),
+        (b, wb, _boundary(g, b)),
     )
 
 
-def pull_check(
-    g: WeightedGraph, p: Partition, i: int, weights: Weights, boundaries: Boundaries
-) -> tuple[VertexSet, int, VertexSet] | None:
+def pull_check(g: WeightedGraph, state: State, i: int) -> tuple[VertexSet, int, VertexSet] | None:
     """Find a pull-admissible subset U of V3 for light class i in {1, 2},
     its weight, and V3 - U.
 
-    `weights` and `boundaries` are as for `merge`.  Scans the vertices v of
-    B(Vi) & V3 ascending; the lightest set around v is U = V3 - H for the
-    heaviest component H of V3 - v, and it applies iff w(Vi) < w(H).  Vi | U
-    is connected, since every component of V3 - v touches v, and V3 - U = H.
+    `state` is as for `merge`.  Scans the vertices v of B(Vi) & V3
+    ascending; the lightest set around v is U = V3 - H for the heaviest
+    component H of V3 - v, and it applies iff w(Vi) < w(H).  Vi | U is
+    connected, since every component of V3 - v touches v, and V3 - U = H.
     Returns None only if no pull-admissible set exists at all.
     """
     if i not in (1, 2):
         raise ContractViolation("class index must be 1 or 2")
-    w3 = weights[2]
+    (_, wi, bi), (v3, w3, _) = state[i - 1], state[2]
     if 2 * w3 <= g.total_weight:
         raise ContractViolation("pull_check() requires w(V3) > w(G)/2")
-    v3 = p[2]
     if len(v3) < 2:
         return None
-    for v in sorted(boundaries[i - 1] & v3):
+    for v in sorted(bi & v3):
         heavy, heavy_weight, u = heaviest_piece(g, v3, v, w3)
-        if weights[i - 1] < heavy_weight:
+        if wi < heavy_weight:
             return u, w3 - heavy_weight, heavy
     return None
 
 
-def pull(
-    g: WeightedGraph, p: Partition, i: int, weights: Weights, boundaries: Boundaries
-) -> Moved | None:
-    """Move the set `pull_check(g, p, i, weights, boundaries)` finds from V3
-    into light class i in {1, 2}, and return the reordered partition, its
-    weights and its boundaries, or None when it finds none.  The three
-    classes stay connected by `pull_check`'s construction of the set.
+def pull(g: WeightedGraph, state: State, i: int) -> State | None:
+    """Move the set `pull_check(g, state, i)` finds from V3 into light class
+    i in {1, 2}, and return the records of the reordered partition, or None
+    when it finds none.  The three classes stay connected by `pull_check`'s
+    construction of the set.
 
     Only the two changed boundaries are updated, at the cost of B(V3) and
     of v, the vertex `pull_check` tried, not of U.  The rest H is a
@@ -176,24 +166,19 @@ def pull(
     B(Vi | U) is B(Vi) - U, v's neighbours in H, and the members of B(V3)
     in the other light class that touch U.
     """
-    found = pull_check(g, p, i, weights, boundaries)
+    found = pull_check(g, state, i)
     if found is None:
         return None
     u, wu, rest = found
     adjacency = g.adjacency
-    bi, b3, other = boundaries[i - 1], boundaries[2], p[2 - i]
+    (vi, wi, bi), other, (_, w3, b3) = state[i - 1], state[2 - i], state[2]
     v = next(x for x in bi & u if not rest.isdisjoint(adjacency[x]))
-    grown = p[i - 1] | u
     grown_boundary = (bi - u).union(
         rest.intersection(adjacency[v]),
-        (y for y in b3 & other if not u.isdisjoint(adjacency[y])),
+        (y for y in b3 & other[0] if not u.isdisjoint(adjacency[y])),
     )
     rest_boundary = frozenset({v}).union(x for x in b3 if not rest.isdisjoint(adjacency[x]))
-    return _ordered(
-        (p[2 - i], grown, rest),
-        (weights[2 - i], weights[i - 1] + wu, weights[2] - wu),
-        (boundaries[2 - i], grown_boundary, rest_boundary),
-    )
+    return _ordered(other, (vi | u, wi + wu, grown_boundary), (rest, w3 - wu, rest_boundary))
 
 
 def initial_3partition(g: WeightedGraph) -> Partition:
@@ -214,32 +199,26 @@ def _improvement_loop(g: WeightedGraph, p: Partition) -> tuple[Partition, int]:
 
     Returns the terminal ordered partition and the iteration count; aborts if
     the heaviest weight ever fails to strictly decrease.  The moves build
-    connected classes, their weights and their boundaries unchecked; `order3`
-    validates the terminal partition once and raises ContractViolation if a
-    move broke it, and InternalError follows if the carried weights,
-    boundaries or order drifted from their values recomputed from scratch.
+    connected classes and their records unchecked; `order3` validates the
+    terminal partition once and raises ContractViolation if a move broke it,
+    and InternalError follows if the carried records drifted from the ones
+    rebuilt from scratch, in members, weight, boundary or order.
     """
     total = g.total_weight
     iterations = 0
-    weights = tuple(map(g.weight, p))
-    boundaries = _boundaries(g, p)
-    while 2 * weights[2] > total:
-        moved = (
-            merge(g, p, weights, boundaries)
-            or pull(g, p, 1, weights, boundaries)
-            or pull(g, p, 2, weights, boundaries)
-        )
+    state = _records(g, p)
+    while 2 * state[2][1] > total:
+        moved = merge(g, state) or pull(g, state, 1) or pull(g, state, 2)
         if moved is None:
             break
-        before = weights[2]
-        p, weights, boundaries = moved
         iterations += 1
-        if weights[2] >= before:
+        if moved[2][1] >= state[2][1]:
             raise InternalError("heaviest class weight did not decrease")
         if iterations > total + 1:
             raise InternalError("improvement loop exceeded its w(G) bound")
-    terminal = order3(g, p)
-    if terminal != p or tuple(map(g.weight, p)) != weights or _boundaries(g, p) != boundaries:
+        state = moved
+    terminal = order3(g, [members for members, _, _ in state])
+    if _records(g, terminal) != state:
         raise InternalError("the carried class weights, boundaries or order drifted")
     return terminal, iterations
 

@@ -180,12 +180,12 @@ def pull_check_components(g: WeightedGraph, p: Partition, i: int) -> VertexSet |
     return None
 
 
-def carried(g: WeightedGraph, p: Partition) -> tuple[tuple[int, ...], tuple[VertexSet, ...]]:
-    """The class weights and outer boundaries N(C) - C of p, recomputed from
-    scratch: the state the min-max loop carries beside its partition and
-    passes to bcp.minmax.merge, pull_check and pull."""
-    weights = tuple(g.weight(c) for c in p)
-    return weights, tuple(frozenset(y for x in c for y in g.adjacency[x]) - c for c in p)
+def carried(g: WeightedGraph, p: Partition) -> tuple[tuple[VertexSet, int, VertexSet], ...]:
+    """The record (members, weight, outer boundary N(C) - C) of each class
+    of p, recomputed from scratch from every member's adjacency: the state
+    the min-max loop carries and passes to bcp.minmax.merge, pull_check and
+    pull."""
+    return tuple((c, g.weight(c), frozenset(y for x in c for y in g.adjacency[x]) - c) for c in p)
 
 
 def merge_resummed(g: WeightedGraph, p: Partition) -> Partition | None:

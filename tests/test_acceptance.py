@@ -144,7 +144,7 @@ def test_criterion_04_pull_check_complete():
             if 2 * g.weight(p[2]) <= g.total_weight:
                 continue
             for i in (1, 2):
-                found = pull_check(g, p, i, *carried(g, p))
+                found = pull_check(g, carried(g, p), i)
                 fast = None if found is None else found[0]
                 slow = oracle_pull_admissible(g, p, i)
                 assert (fast is None) == (slow is None), (g.edges(), p, i)

@@ -412,6 +412,25 @@ def test_python_m_runs_the_cli(module, tmp_path):
     assert parse_instance(out.read_text()).n == 5
 
 
+def test_output_pipe_closed_early_is_exit_1_without_traceback(tmp_path):
+    """A reader that stops after one line, as `| head -n 1` does: the
+    partition of a 20,000-vertex spider at k=400 is over 100 KB, more than
+    a pipe holds, so a write meets the closed pipe."""
+    src = Path(bcp.__file__).resolve().parent.parent
+    instance = tmp_path / "spider.bcp"
+    instance.write_text(write_instance(generate("spider", 20000)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bcp", "solve", str(instance), "--k", "400"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"instance:")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
+
+
 def test_no_command_is_exit_2():
     assert run_cli([]) == 2
 

@@ -51,54 +51,54 @@ class TestMerge:
     def test_p5_trace(self):
         g = path_graph(5)
         p = order3(g, [fs(0), fs(1), fs(2, 3, 4)])
-        assert merge(g, p, *carried(g, p)) == (
-            (fs(2), fs(0, 1), fs(3, 4)), (1, 2, 2), (fs(1, 3), fs(2), fs(2))
+        assert merge(g, carried(g, p)) == (
+            (fs(2), 1, fs(1, 3)), (fs(0, 1), 2, fs(2)), (fs(3, 4), 2, fs(2))
         )
 
     def test_non_adjacent_rejected(self):
         g = path_graph(5)
         p = order3(g, [fs(0), fs(4), fs(1, 2, 3)])
-        assert merge(g, p, *carried(g, p)) is None
+        assert merge(g, carried(g, p)) is None
 
     def test_light_heavy_class_rejected(self):
         g = triangle_graph()
         p = order3(g, [fs(0), fs(1), fs(2)])
         with pytest.raises(ContractViolation):
-            merge(g, p, *carried(g, p))
+            merge(g, carried(g, p))
 
 
 class TestPullCheck:
     def test_p5_first_class(self):
         g = path_graph(5)
         p = order3(g, [fs(0), fs(4), fs(1, 2, 3)])
-        assert pull_check(g, p, 1, *carried(g, p)) == (fs(1), 1, fs(2, 3))
+        assert pull_check(g, carried(g, p), 1) == (fs(1), 1, fs(2, 3))
 
     def test_p5_second_class(self):
         g = path_graph(5)
         p = order3(g, [fs(0), fs(4), fs(1, 2, 3)])
-        assert pull_check(g, p, 2, *carried(g, p)) == (fs(3), 1, fs(1, 2))
+        assert pull_check(g, carried(g, p), 2) == (fs(3), 1, fs(1, 2))
 
     def test_absent_matches_oracle(self):
         g = star_graph(5)
         p = order3(g, [fs(3), fs(4), fs(0, 1, 2)])
         for i in (1, 2):
-            assert pull_check(g, p, i, *carried(g, p)) is None
+            assert pull_check(g, carried(g, p), i) is None
             assert oracle_pull_admissible(g, p, i) is None
-            assert pull(g, p, i, *carried(g, p)) is None
+            assert pull(g, carried(g, p), i) is None
 
     def test_bad_class_index(self):
         g = path_graph(5)
         p = order3(g, [fs(0), fs(4), fs(1, 2, 3)])
         with pytest.raises(ContractViolation):
-            pull_check(g, p, 3, *carried(g, p))
+            pull_check(g, carried(g, p), 3)
 
 
 class TestPull:
     def test_p5_trace(self):
         g = path_graph(5)
         p = order3(g, [fs(0), fs(4), fs(1, 2, 3)])
-        assert pull(g, p, 1, *carried(g, p)) == (
-            (fs(4), fs(0, 1), fs(2, 3)), (1, 2, 2), (fs(3), fs(2), fs(1, 4))
+        assert pull(g, carried(g, p), 1) == (
+            (fs(4), 1, fs(3)), (fs(0, 1), 2, fs(2)), (fs(2, 3), 2, fs(1, 4))
         )
 
 
@@ -377,15 +377,19 @@ def test_terminal_heavy_partition_is_optimal(g):
         assert w_plus(g, p) == exact_minmax(g, 3)[0]
 
 
+def members(state):
+    return tuple(c for c, _, _ in state)
+
+
 def check_move(g, p, moved):
     """A move that applies builds a valid ordered 3-partition, with its true
-    class weights and boundaries, whose heaviest class is strictly lighter
-    than p's; the moves themselves never validate."""
+    class records, whose heaviest class is strictly lighter than p's; the
+    moves themselves never validate."""
     if moved is not None:
-        q, *state = moved
+        q = members(moved)
         assert validate(g, q, 3) == []
         assert q == sort_classes(g, q)
-        assert tuple(state) == carried(g, q)
+        assert moved == carried(g, q)
         assert g.weight(q[2]) < g.weight(p[2])
     return moved is not None
 
@@ -411,10 +415,10 @@ def test_pull_check_complete_against_oracle():
             if 2 * g.weight(p[2]) <= g.total_weight:
                 continue
             state = carried(g, p)
-            merges += check_move(g, p, merge(g, p, *state))
+            merges += check_move(g, p, merge(g, state))
             for i in (1, 2):
-                pulls += check_move(g, p, pull(g, p, i, *state))
-                found = pull_check(g, p, i, *state)
+                pulls += check_move(g, p, pull(g, state, i))
+                found = pull_check(g, state, i)
                 slow = oracle_pull_admissible(g, p, i)
                 assert (found is None) == (slow is None)
                 if found is not None:
@@ -433,27 +437,44 @@ def test_broken_move_caught_once_per_solve(monkeypatch):
     `order3` check on its terminal partition."""
     g = path_graph(5)
     p = initial_3partition(g)
-    assert merge(g, p, *carried(g, p)) is not None
+    assert merge(g, carried(g, p)) is not None
     monkeypatch.setattr("bcp.minmax.split_two", lambda g, s: (fs(0, 2), fs(1)))
     with pytest.raises(ContractViolation, match="disconnected"):
         minmax_bcpk(g, 3)
 
 
-def test_drifted_boundary_caught_once_per_solve(monkeypatch):
-    """A pull whose boundary update forgets a vertex still builds valid
-    partitions, so only the loop's terminal check, which recomputes every
-    boundary, can catch it."""
+def _forget_a_boundary_vertex(state):
+    r1, r2, (v3, w3, b3) = state
+    return r1, r2, (v3, w3, b3 - {max(b3)})
+
+
+def _overweigh_v1(state):
+    (v1, w1, b1), r2, r3 = state
+    return (v1, w1 + 1, b1), r2, r3
+
+
+def _swap_light_classes(state):
+    r1, r2, r3 = state
+    return r2, r1, r3
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [_forget_a_boundary_vertex, _overweigh_v1, _swap_light_classes],
+    ids=["boundary", "weight", "order"],
+)
+def test_drifted_record_caught_once_per_solve(monkeypatch, fault):
+    """A pull whose records drift, in a boundary, a weight or their order,
+    still builds valid partitions, so only the loop's terminal check, which
+    rebuilds every record from scratch, can catch it."""
     real_pull = bcp.minmax.pull
 
-    def forgetful_pull(*args):
+    def faulty_pull(*args):
         moved = real_pull(*args)
-        if moved is None:
-            return None
-        q, weights, (b1, b2, b3) = moved
-        return q, weights, (b1, b2, b3 - {max(b3)})
+        return None if moved is None else fault(moved)
 
-    monkeypatch.setattr(bcp.minmax, "pull", forgetful_pull)
-    with pytest.raises(InternalError, match="boundaries"):
+    monkeypatch.setattr(bcp.minmax, "pull", faulty_pull)
+    with pytest.raises(InternalError, match="drifted"):
         minmax_bcpk(generate("spider", 300), 3)
 
 
@@ -479,33 +500,33 @@ def _random_heavy_3partition(g, rng):
 
 def _check_moves_against_reference(g, p):
     """Compare each move at p with its components-based, re-summing
-    reference, and its weights and boundaries with theirs recomputed from
-    scratch; returns the reference's next loop state (or None)."""
+    reference, and its records with theirs recomputed from scratch; returns
+    the reference's next partition (or None)."""
     state = carried(g, p)
     expected = merge_resummed(g, p)
-    got = merge(g, p, *state)
+    got = merge(g, state)
     assert (got is None) == (expected is None)
     if got is not None:
-        assert got == (expected, *carried(g, expected))
+        assert got == carried(g, expected)
     step = expected
     for i in (1, 2):
         u = pull_check_components(g, p, i)
         expected = pull_resummed(g, p, i)
-        found = pull_check(g, p, i, *state)
+        found = pull_check(g, state, i)
         assert found == (None if u is None else (u, g.weight(u), p[2] - u))
-        got = pull(g, p, i, *state)
+        got = pull(g, state, i)
         assert (got is None) == (expected is None)
         if got is not None:
-            assert got == (expected, *carried(g, expected))
+            assert got == carried(g, expected)
         step = step or expected
     return step
 
 
 @pytest.mark.parametrize("family", ["star", "spider", "grid", "tree", "sparse", "dense"])
 def test_moves_match_components_reference(family):
-    """merge, pull_check and pull, given the carried class weights and
-    boundaries, equal the components-based moves on random heavy
-    3-partitions and along the whole improvement loop."""
+    """merge, pull_check and pull, given the carried class records, equal
+    the components-based moves on random heavy 3-partitions and along the
+    whole improvement loop."""
     rng = random.Random(f"moves-{family}")
     states = hits = 0
     for _ in range(60):
@@ -531,20 +552,22 @@ def test_unit_spider_3200():
     assert validate(g, result.classes, 3) == []
 
 
+class CountingAdjacency(tuple):
+    """An adjacency tuple that counts the lists read from it."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return tuple.__getitem__(self, v)
+
+
 def test_one_pull_reads_what_it_moves():
     """One pull reads O(|U| + |B(Vi)| + |B(V3)|) adjacency lists, however
     large Vi: here Vi is a leg of 2,000 vertices with B(Vi) = {0}, and the
     pull moves the centre and a 3-vertex leg into it.  `heaviest_piece`
     reads at most 1 + 2 deg(v) |U| lists, and the two boundary updates read
     those of B(Vi) & U, of v, and of B(V3) twice."""
-
-    class CountingAdjacency(tuple):
-        reads = 0
-
-        def __getitem__(self, v):
-            self.reads += 1
-            return tuple.__getitem__(self, v)
-
     legs = [range(1, 2001), range(2001, 4002), range(4002, 4005), range(4005, 4008)]
     edges = [(v - 1 if v > leg[0] else 0, v) for leg in legs for v in leg]
     weights = [1] * 4008
@@ -554,12 +577,25 @@ def test_one_pull_reads_what_it_moves():
     state = carried(g, p)
     adjacency = CountingAdjacency(g.adjacency)
     counted = WeightedGraph(g.n, adjacency, g.weights)
-    q, *moved = pull(counted, p, 1, *state)
+    moved = pull(counted, state, 1)
 
     u = fs(0, *legs[3])
+    q = members(moved)
     assert q == (p[1], p[0] | u, fs(*legs[2]))
-    assert tuple(moved) == carried(g, q)
-    b1, _, b3 = state[1]
+    assert moved == carried(g, q)
+    (_, _, b1), _, (_, _, b3) = state
     assert b1 == fs(0) and b3 == fs(1, 2001)
     bound = (1 + 2 * len(g.adjacency[0]) * len(u)) + len(b1) + 1 + 2 * len(b3)
     assert adjacency.reads <= bound < 2000
+
+
+def test_start_records_read_only_the_light_classes():
+    """The records built from scratch, at the loop's start and its terminal
+    check, read the adjacency of V1 and V2 once each and none of V3's: here
+    V3 is a path of 2,000 vertices between two singleton light classes."""
+    g = path_graph(2002)
+    p = order3(g, [fs(0), fs(2001), fs(*range(1, 2001))])
+    adjacency = CountingAdjacency(g.adjacency)
+    state = bcp.minmax._records(WeightedGraph(g.n, adjacency, g.weights), p)
+    assert state == carried(g, p)
+    assert adjacency.reads <= len(p[0]) + len(p[1])
