@@ -4,10 +4,10 @@ Subcommands: solve (approximation, optionally scaled), exact (brute-force
 oracle), fpt-maxmin (vertex-cover-parameterized exact solver), gen
 (instance generator), validate (partition checker) and bench (CSV harness).
 
-Exit codes: 0 success, 2 input error (a file that cannot be read, decoded
-or written included), 3 budget exceeded.  The environment variable
-BCP_BUDGET_SECONDS caps oracle and fpt-maxmin run time per instance; every
-solving command rejects a malformed value.
+Exit codes: 0 success, 1 output pipe closed early, 2 input error (a file
+that cannot be read, decoded or written included), 3 budget exceeded.
+The environment variable BCP_BUDGET_SECONDS caps oracle and fpt-maxmin
+run time per instance; every solving command rejects a malformed value.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .partition import (
     cut_vertex_bound,
     sort_classes,
     validate,
+    w_plus,
 )
 from .scaling import eps_minmax_bcpk
 
@@ -108,14 +109,17 @@ def _load_graph(path: str) -> WeightedGraph:
     return parse_instance(_read_text(path))
 
 
-def _print_partition(g: WeightedGraph, classes: Sequence[frozenset[int]]) -> None:
-    print("partition:")
-    for c in sort_classes(g, classes):
-        print(" ".join(str(v) for v in sorted(c)))
-
-
-def _fmt_ratio(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator} ({float(value):.6f})"
+def _print_run(
+    g: WeightedGraph, report: RunReport, head: Sequence[str],
+    after_certificate: Sequence[str] = (), after_partition: Sequence[str] = (),
+) -> None:
+    """Print one solve: header, value, certificate, the command's own lines,
+    the classes one a line in `sort_classes` order, its counters, the time."""
+    lines = [*head, f"value: {report.value}", f"certificate: {report.certificate}"]
+    lines += [*after_certificate, "partition:"]
+    lines += (" ".join(map(str, sorted(c))) for c in sort_classes(g, report.classes))
+    lines += [*after_partition, f"time-ms: {report.wall_ms:.1f}"]
+    print("\n".join(lines))
 
 
 def _run(
@@ -153,7 +157,7 @@ def _run(
         )
     if algorithm.startswith("exact-"):
         return RunReport(value, classes, "optimal", "oracle", Fraction(value), wall_ms)
-    value = max(g.weight(c) for c in result.classes)
+    value = w_plus(g, result.classes)
     bound_kind = "average"
     bound: Fraction = average_weight_bound(g, k)
     if result.star is not None:  # set only on StarOptimal
@@ -172,31 +176,23 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     epsilon = _parse_fraction(args.epsilon) if args.epsilon is not None else None
     algorithm = "minmax-bcpk" if epsilon is None else "eps-minmax-bcpk"
     report = _run(g, args.k, algorithm, epsilon)
-    print(f"instance: {args.instance} (n={g.n}, m={g.m}, W={g.total_weight})")
-    print("objective: minmax")
-    print(f"k: {args.k}")
+    head = [f"instance: {args.instance} (n={g.n}, m={g.m}, W={g.total_weight})",
+            "objective: minmax", f"k: {args.k}"]
     if epsilon is not None:
-        print(f"epsilon: {epsilon}")
-    print(f"value: {report.value}")
-    print(f"certificate: {report.certificate}")
-    print(f"bound ({report.bound_kind}): {report.bound}")
-    print(f"ratio: {_fmt_ratio(Fraction(report.value) / report.bound)}")
-    _print_partition(g, report.classes)
-    print(f"iterations: {report.iterations}")
-    print(f"time-ms: {report.wall_ms:.1f}")
+        head.append(f"epsilon: {epsilon}")
+    ratio = Fraction(report.value) / report.bound
+    _print_run(g, report, head, [
+        f"bound ({report.bound_kind}): {report.bound}",
+        f"ratio: {ratio.numerator}/{ratio.denominator} ({float(ratio):.6f})",
+    ], [f"iterations: {report.iterations}"])
     return 0
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     g = _load_graph(args.instance)
     report = _run(g, args.k, f"exact-{args.objective}")
-    print(f"instance: {args.instance} (n={g.n}, m={g.m}, W={g.total_weight})")
-    print(f"objective: {args.objective}")
-    print(f"k: {args.k}")
-    print(f"value: {report.value}")
-    print(f"certificate: {report.certificate}")
-    _print_partition(g, report.classes)
-    print(f"time-ms: {report.wall_ms:.1f}")
+    head = f"instance: {args.instance} (n={g.n}, m={g.m}, W={g.total_weight})"
+    _print_run(g, report, [head, f"objective: {args.objective}", f"k: {args.k}"])
     return 0
 
 
@@ -211,16 +207,10 @@ def _cmd_fpt_maxmin(args: argparse.Namespace) -> int:
     if args.dump_model:
         _refuse_unwritable(args.dump_model)
     report = _run(g, args.k, "fpt-maxmin", cover=cover)
-    print(f"instance: {args.instance} (n={g.n}, m={g.m})")
-    print("objective: maxmin (unweighted)")
-    print(f"k: {args.k}")
-    print(f"cover: {' '.join(str(v) for v in report.model.dec.cover)}")
-    print(f"value: {report.value}")
-    print(f"certificate: {report.certificate}")
-    _print_partition(g, report.classes)
-    print(f"nodes: {report.iterations}")
-    print(f"cuts: {report.cuts}")
-    print(f"time-ms: {report.wall_ms:.1f}")
+    _print_run(g, report, [
+        f"instance: {args.instance} (n={g.n}, m={g.m})", "objective: maxmin (unweighted)",
+        f"k: {args.k}", f"cover: {' '.join(map(str, report.model.dec.cover))}",
+    ], after_partition=[f"nodes: {report.iterations}", f"cuts: {report.cuts}"])
     if args.dump_model:
         _write_text(args.dump_model, report.model.dump())
         print(f"model dumped to {args.dump_model}")

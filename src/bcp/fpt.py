@@ -420,10 +420,11 @@ def solve_fpt_maxmin(
     cover: Iterable[int] | None = None,
     max_seconds: float | None = None,
 ) -> FptResult:
-    """Exact unweighted max-min connected k-partition.
+    """Exact max-min connected k-partition of a uniformly weighted graph.
 
-    Rejects non-uniform weights.  With k exceeding the cover size the
-    optimum is 1 and a witness is built directly; otherwise cover vertices
+    Rejects non-uniform weights.  The search counts vertices; the value is
+    the lightest class's count times the common weight.  With k exceeding
+    the cover size the optimum count is 1 and a witness is built directly; otherwise cover vertices
     are assigned to classes depth-first (new classes opened in index order
     to break symmetry) and each complete assignment is finished by the exact
     count distribution, with lazy connectivity cuts repairing disconnected
@@ -443,11 +444,11 @@ def solve_fpt_maxmin(
 
     if k > len(xs):
         # Some class must sit inside the stable set, hence be a singleton:
-        # the optimum is 1 and peeling singletons off the trivial partition
+        # the optimum count is 1 and peeling singletons off the trivial partition
         # gives a witness.
         classes = split_off_singletons(g, (frozenset(range(g.n)),), k - 1)
         return FptResult(
-            value=1, classes=sort_classes(g, classes), model=model, nodes=0
+            value=g.weights[0], classes=sort_classes(g, classes), model=model, nodes=0
         )
 
     counts = [len(members) for members in dec.classes_by_neighborhood.values()]
@@ -526,4 +527,6 @@ def solve_fpt_maxmin(
     dfs(0, 0)
     if best is None:
         raise InternalError("search found no connected partition")
-    return FptResult(value=best_value, classes=reconstruct(dec, *best), model=model, nodes=nodes)
+    return FptResult(
+        value=best_value * g.weights[0], classes=reconstruct(dec, *best), model=model, nodes=nodes
+    )

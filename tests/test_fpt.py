@@ -306,7 +306,8 @@ class TestSolve:
 
     def test_uniform_non_unit_weights_ok(self):
         g = path_graph(4, [3, 3, 3, 3])
-        assert solve_fpt_maxmin(g, 2, [1, 2]).value == 2
+        # Two vertices of weight 3 in the lightest class.
+        assert solve_fpt_maxmin(g, 2, [1, 2]).value == 6
 
     def test_budget_honoured_inside_distribution(self):
         # Ladder 2x14 at k=4 spends its time inside _distribute, between two
@@ -497,6 +498,25 @@ def test_matches_oracle_on_structured_families():
             result = solve_fpt_maxmin(g, k, cover)
             expected, _ = exact_maxmin(g, k)
             assert result.value == expected
+
+
+def test_value_is_a_weight_on_uniform_weights():
+    # Every vertex weighs 3, so the value is three times the lightest class's
+    # vertex count, both from the search and when k exceeds the cover.
+    rng = random.Random(3)
+    cases = [
+        (path_graph(6), [1, 3, 5]),
+        (cycle_graph(6), [0, 2, 4]),
+        (grid_graph(2, 3), [1, 3, 5]),
+        (star_graph(5), [0]),
+        *_explicit_cover_instances(rng, 6),
+    ]
+    for unit, cover in cases:
+        g = unit.with_weights([3] * unit.n)
+        for k in range(2, min(g.n, len(cover) + 2) + 1):
+            result = solve_fpt_maxmin(g, k, cover)
+            assert result.value == exact_maxmin(g, k)[0], (g.edges(), cover, k)
+            assert result.value == min(g.weight(c) for c in result.classes)
 
 
 def test_separation_matches_hypergraph_reach_fixpoint():

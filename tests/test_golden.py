@@ -53,6 +53,14 @@ CASES = [
      ["fpt-maxmin", "--k", "3", "--dump-model", "model.txt"],
      "f5f3e5131ab12a82e6c266a0d4a6d9abfdc95ee5e77171cebac949d54b655f07",
      "08b9199f150873aa2c619bc096602d2803b016a6c96546f1a84f907f93a1b5d3"),
+    # A given cover and no dumped model: no `model dumped to` line.
+    ("fpt-grid-cover", "grid", 12, (1, 1), 14,
+     ["fpt-maxmin", "--k", "3", "--cover", "0,2,5,7,8,10"],
+     "36ce256a4f2de014aded6328bbfdcf73f25820c189db30cc27a331e9881d7c30", None),
+    # Ends with certificate SingletonTop.
+    ("solve-spider-singleton-top", "spider", 6, (1, 9), 3,
+     ["solve", "--k", "3"],
+     "ea359659d3a58d47b4d988db52a730f5f728918d6e8ffa44331961e94a7e7255", None),
 ]
 
 
