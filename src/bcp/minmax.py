@@ -4,10 +4,10 @@ The k=3 solver repeatedly shrinks the heaviest class of an ordered
 3-partition with two moves: `merge` fuses the two light classes and splits
 the heavy one, `pull` drags a boundary piece of the heavy class into a light
 one.  When neither applies the instance has a star-like cut-vertex structure
-that certifies optimality.  Partitions for k > 3 are derived from the
-3-partition by splitting off singleton classes, at one DFS per split class
-and a heap step per singleton, or by regrouping the components around the
-star center.
+that certifies optimality.  For k > 3 one base partition, the terminal
+3-partition or, around a star center u, u's class and the other components
+of G - u, grows by singleton classes (`split_off_singletons`), at one DFS
+per split class and a heap step per singleton.
 
 Each move strictly decreases the heaviest class weight, so with integer
 weights the loop runs at most w(G) iterations.
@@ -61,7 +61,7 @@ class Certificate(Enum):
 
     RATIO_HALF_W = "RatioHalfW"      # heaviest class weighs at most w(G)/2
     SINGLETON_TOP = "SingletonTop"   # heaviest class is a single vertex
-    STAR_OPTIMAL = "StarOptimal"     # built around a star-center cut vertex
+    STAR_OPTIMAL = "StarOptimal"     # around a cut vertex; optimal if its class is heaviest
     SCALED = "Scaled"                # an eps run: only the k/2 + eps bound
 
 
@@ -288,40 +288,32 @@ def split_off_singletons(g: WeightedGraph, p: Partition, q: int) -> Partition:
     return tuple(c - gone for c in p) + tuple(frozenset({u}) for u in cut)
 
 
-def _checked(g: WeightedGraph, classes: Partition, k: int) -> Partition:
-    """The classes in `sort_classes` order, once `validate` finds them a
-    connected k-partition of g; the input was valid, so a failure is a bug."""
+def minmax_bcpk(g: WeightedGraph, k: int) -> BcpkResult:
+    """Connected k-partition with heaviest class at most (k/2) times the
+    optimum.  A `StarOptimal` result is optimal when the center's class is
+    the heaviest, so the cut-vertex bound equals the value; at k=3 a stall
+    above w(G)/2 is always optimal."""
+    if not 3 <= k <= g.n:
+        raise ContractViolation(f"k must be in [3, {g.n}], got {k}")
+    p, iterations = _improvement_loop(g, initial_3partition(g))
+    total = g.total_weight
+    star = None
+    if 2 * w_plus(g, p) > total and len(p[2]) > 1:
+        found = star_center_certificate(g, p)
+        t = max(0, found.ell - k + 1)
+        p = (frozenset({found.u}).union(*found.comps[:t]),) + found.comps[t:]
+        star = found if len(p) == k else None
+    classes = split_off_singletons(g, p, k - len(p))
     report = validate(g, classes, k)
     if report:
         raise InternalError("minmax_bcpk() built an invalid partition: " + "; ".join(report))
-    return sort_classes(g, classes)
-
-
-def minmax_bcpk(g: WeightedGraph, k: int) -> BcpkResult:
-    """Connected k-partition with heaviest class at most (k/2) times the
-    optimum; optimal outright in the certified star-center case."""
-    if not 3 <= k <= g.n:
-        raise ContractViolation(f"k must be in [3, {g.n}], got {k}")
-    p3, iterations = _improvement_loop(g, initial_3partition(g))
-    total = g.total_weight
-
-    if 2 * w_plus(g, p3) <= total or len(p3[2]) == 1:
-        classes = split_off_singletons(g, p3, k - 3)
+    # Splitting never makes the heaviest class heavier, and a base without
+    # a star is above w(G)/2 only in a singleton: V3 = {v}, or {u} beside
+    # components of weight <= w(V2) <= w(G)/2.  No partition avoids its weight.
+    if star is not None:
+        cert = Certificate.STAR_OPTIMAL
+    elif 2 * w_plus(g, classes) <= total:
+        cert = Certificate.RATIO_HALF_W
     else:
-        star = star_center_certificate(g, p3)
-        ell = star.ell
-        if ell >= k - 1:
-            t = ell - k + 1
-            classes = (frozenset({star.u}).union(*star.comps[:t]),) + star.comps[t:]
-            return BcpkResult(_checked(g, classes, k), Certificate.STAR_OPTIMAL, star, iterations)
-        fan = (frozenset({star.u}),) + star.comps
-        classes = split_off_singletons(g, fan, k - 1 - ell)
-    # Splitting never makes the heaviest class heavier.  In the fan every
-    # piece except {u} weighs at most w(V2) <= w(G)/2, so a heavier result
-    # tops out at a singleton, whose weight no partition can avoid paying.
-    cert = (
-        Certificate.RATIO_HALF_W
-        if 2 * w_plus(g, classes) <= total
-        else Certificate.SINGLETON_TOP
-    )
-    return BcpkResult(_checked(g, classes, k), cert, None, iterations)
+        cert = Certificate.SINGLETON_TOP
+    return BcpkResult(sort_classes(g, classes), cert, star, iterations)

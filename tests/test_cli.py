@@ -65,13 +65,23 @@ class TestSolve:
         assert set().union(*classes) == set(range(5))
 
     @pytest.mark.parametrize("extra", [[], ["--epsilon", "1/2"]])
-    def test_invalid_k_partition_fails_instead_of_printing(self, path5, capsys, monkeypatch, extra):
-        # P5 at k=4 ends in the singleton split; {0, 2} is disconnected.
-        broken = (frozenset({0, 2}), frozenset({1}), frozenset({3}), frozenset({4}))
-        monkeypatch.setattr("bcp.minmax.split_off_singletons", lambda g, p, q: broken)
-        with pytest.raises(InternalError, match=r"class 0 \(\[0, 2\]\) is disconnected"):
-            run_cli(["solve", path5, "--k", "4", *extra])
-        assert "partition:" not in capsys.readouterr().out
+    def test_invalid_k_partition_fails_instead_of_printing(
+        self, path5, star5, capsys, monkeypatch, extra
+    ):
+        # Every ending goes through the one split and the one check: P5 at
+        # k=4 ends in RatioHalfW after a split, the 5-star at k=3 in
+        # StarOptimal after none.  The first class is disconnected.
+        for instance, k, broken, match in [
+            (path5, 4, ({0, 2}, {1}, {3}, {4}), r"class 0 \(\[0, 2\]\) is disconnected"),
+            (star5, 3, ({1, 2}, {0}, {3, 4}), r"class 0 \(\[1, 2\]\) is disconnected"),
+        ]:
+            classes = tuple(map(frozenset, broken))
+            monkeypatch.setattr(
+                "bcp.minmax.split_off_singletons", lambda g, p, q, classes=classes: classes
+            )
+            with pytest.raises(InternalError, match=match):
+                run_cli(["solve", instance, "--k", str(k), *extra])
+            assert "partition:" not in capsys.readouterr().out
 
     def test_k2_is_input_error(self, path5, capsys):
         assert run_cli(["solve", path5, "--k", "2"]) == 2

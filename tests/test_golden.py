@@ -61,6 +61,17 @@ CASES = [
     ("solve-spider-singleton-top", "spider", 6, (1, 9), 3,
      ["solve", "--k", "3"],
      "ea359659d3a58d47b4d988db52a730f5f728918d6e8ffa44331961e94a7e7255", None),
+    # A star center u with ell = k - 1 components: {u} alone is a class,
+    # and the certificate is StarOptimal with the average bound; the value
+    # 3 is above the optimum 2, as u's class is not the heaviest.
+    ("solve-tree-star-core-alone", "random-tree", 11, (1, 1), 2,
+     ["solve", "--k", "6"],
+     "210d6ec6f73d02def810d33c11d836643bf0687a909e41cb5ade4c0b06c5ae33", None),
+    # The same star at k = ell + 3: {u} and the components, then two
+    # singletons split off.
+    ("solve-tree-star-fan", "random-tree", 11, (1, 1), 2,
+     ["solve", "--k", "8"],
+     "a67d85e0dec599bd6160d363754e56f9e0853e1448297eeb461638fe1eb86a80", None),
 ]
 
 

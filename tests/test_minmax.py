@@ -355,6 +355,34 @@ def _certificate_consistent(g, result: BcpkResult) -> bool:
     return result.star is not None
 
 
+# Instances whose loop stalls around a star center with ell components, and
+# the k > ell + 2 where the base ({u}, components of G - u) needs at least
+# two singletons split off to reach k classes.
+FAN_CASES = [
+    ("random-tree", 7, (1, 1000), 3, [7]),
+    ("random-tree", 9, (1, 1000), 1, [8, 9]),
+    ("random-tree", 11, (1, 1), 2, [8, 9, 10, 11]),
+    ("random-tree", 11, (1, 1000), 0, [8, 9, 10, 11]),
+    ("random-tree", 12, (1, 1000), 5, [8, 9, 10, 11, 12]),
+]
+
+
+@pytest.mark.parametrize("family, n, weights, seed, ks", FAN_CASES)
+def test_fan_with_two_or_more_singletons_is_k_half_approximate(family, n, weights, seed, ks):
+    g = generate(family, n, weights, seed)
+    star = minmax_bcpk(g, 3).star
+    for k in ks:
+        assert star.ell <= k - 3
+        result = minmax_bcpk(g, k)
+        assert validate(g, result.classes, k) == []
+        assert result.star is None
+        assert result.certificate in (Certificate.RATIO_HALF_W, Certificate.SINGLETON_TOP)
+        assert _certificate_consistent(g, result)
+        opt, _ = exact_minmax(g, k)
+        assert opt <= w_plus(g, result.classes)
+        assert 2 * w_plus(g, result.classes) <= k * opt
+
+
 @given(connected_graphs(min_n=3, max_n=8))
 @settings(max_examples=80)
 def test_ratio_validity_and_progress(g):
