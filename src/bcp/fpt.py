@@ -242,10 +242,31 @@ def _max_flow(
     Edmonds-Karp on the flow matrix.  A search starts from the groups with
     supply left and ends at the first class reached with demand left; from
     class i it goes back along flow to the groups eligible for i, ascending.
+
+    While some group with supply left is eligible for a class with demand
+    left, the search visits every group with supply before any group it
+    reaches backwards, so it ends at the first such pair, groups ascending
+    and each elig row in order, and pushes min(supply, short) along it.  A
+    push raises no supply and no demand, so one direct pass over the pairs
+    in that order makes exactly those first augmentations, reading each row
+    once; the search runs only on the demand the pass leaves.
     """
     m, k = len(supplies), len(demands)
     flow = [[0] * k for _ in range(m)]
     supply, short = list(supplies), list(demands)
+    for j in range(m):
+        have = supply[j]
+        for i in elig[j]:
+            if not have:
+                break
+            if short[i]:
+                push = min(have, short[i])
+                flow[j][i] += push
+                short[i] -= push
+                have -= push
+        supply[j] = have
+    if not any(short):
+        return flow
     senders = [[j for j in range(m) if i in elig[j]] for i in range(k)]
     while any(short):
         came_from = {j: None for j in range(m) if supply[j] > 0}
@@ -461,14 +482,20 @@ def solve_fpt_maxmin(
     # Cover positions by class; the first `used` classes are open.
     class_masks = [0] * k
 
+    # Memo of the stable units that can attach to a class reaching a mask of
+    # cover positions: counts and set_masks are fixed for the solve, so each
+    # of at most 2^|X| masks is summed once.
+    attach_by_reach: dict[int, int] = {}
+
     def upper_bound(pos: int, used: int) -> int:
         rem = (1 << len(xs)) - (1 << pos)
         remaining = len(xs) - pos
         ub = cap_value
         for cm in class_masks[:used]:
             reach = cm | rem
-            attach = sum(c for c, sm in zip(counts, set_masks) if sm & reach)
-            ub = min(ub, bin(cm).count("1") + remaining + attach)
+            if reach not in attach_by_reach:
+                attach_by_reach[reach] = sum(c for c, sm in zip(counts, set_masks) if sm & reach)
+            ub = min(ub, bin(cm).count("1") + remaining + attach_by_reach[reach])
         return ub
 
     def leaf() -> None:

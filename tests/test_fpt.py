@@ -311,8 +311,8 @@ class TestSolve:
 
     def test_budget_honoured_inside_distribution(self):
         # Ladder 2x14 at k=4 spends its time inside _distribute, between two
-        # of the search's every-256-nodes deadline checks, and runs well
-        # past 10 s unbudgeted.
+        # of the search's every-256-nodes deadline checks, and runs 4.6-6.1 s
+        # unbudgeted on a 2-vCPU VM.
         g, cover = ladder(14)
         start = time.monotonic()
         with pytest.raises(BudgetExceeded):
@@ -354,10 +354,26 @@ class TestSolve:
             solve_fpt_maxmin(path_graph(4), 5)
 
 
+class CountingRows(list):
+    """An elig list that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, j):
+        self.reads += 1
+        return list.__getitem__(self, j)
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
+
+
 class TestMaxFlow:
     def test_matches_network_reference(self):
         """The flow-matrix Edmonds-Karp returns exactly the flows of the
-        generic source/sink network, including None."""
+        generic source/sink network, including None, both where the direct
+        pass settles every demand, reading each row once, and where the
+        search runs after it, reading more rows to list each class's
+        senders."""
         rng = random.Random(17)
         seen = Counter()
         for _ in range(4000):
@@ -365,13 +381,49 @@ class TestMaxFlow:
             supplies = [rng.choice((0, rng.randint(1, 9))) for _ in range(m)]
             demands = [rng.choice((0, rng.randint(1, 12))) for _ in range(k)]
             elig = [rng.sample(range(k), rng.choice((0, rng.randint(1, k)))) for _ in range(m)]
-            got = _max_flow(supplies, demands, elig)
+            rows = CountingRows(elig)
+            got = _max_flow(supplies, demands, rows)
             assert got == max_flow_network(supplies, demands, elig)
             seen["feasible" if got is not None else "infeasible"] += 1
             seen["no demand"] += not any(demands)
             seen["idle group"] += 0 in supplies
             seen["ineligible group"] += [] in elig
+            seen["direct pass alone"] += m > 0 and got is not None and rows.reads == m
+            seen["search"] += rows.reads > m
         assert min(seen.values()) >= 100, seen
+
+    def test_search_after_direct_pass_matches_network_reference(self):
+        """Transports built feasible, demands summed from a hidden flow, which
+        the direct pass often leaves short: there the search must reroute
+        its pushes along back arcs and still return the reference network's
+        flow."""
+        rng = random.Random(29)
+        searched = 0
+        for _ in range(1000):
+            m, k = rng.randint(2, 7), rng.randint(2, 5)
+            elig = [sorted(rng.sample(range(k), rng.randint(1, k))) for _ in range(m)]
+            hidden = [[rng.randint(0, 4) if i in row else 0 for i in range(k)] for row in elig]
+            supplies = [sum(row) + rng.choice((0, 0, 1)) for row in hidden]
+            demands = [sum(col) for col in zip(*hidden)]
+            rows = CountingRows(elig)
+            got = _max_flow(supplies, demands, rows)
+            assert got is not None
+            assert got == max_flow_network(supplies, demands, elig)
+            searched += rows.reads > m
+        assert searched >= 100
+
+    def test_direct_pairs_read_each_row_once(self):
+        """A transport that direct group -> class pushes settle completely
+        reads each elig row once, not the m * k rows of listing every
+        class's senders for a search."""
+        m, k = 40, 5
+        supplies, demands = [3] * m, [24] * k
+        elig = [[(j + d) % k for d in range(k)] for j in range(m)]
+        rows = CountingRows(elig)
+        flow = _max_flow(supplies, demands, rows)
+        assert flow == max_flow_network(supplies, demands, elig)
+        assert [sum(row) for row in flow] == supplies
+        assert rows.reads == m
 
     def test_distribute_solves_each_transport_once(self, monkeypatch):
         calls = []
