@@ -131,8 +131,8 @@ def _run(
 ) -> RunReport:
     """Run one of ALGORITHMS under the BCP_BUDGET_SECONDS budget and time
     the solver call.  A min-max solve is bounded by the average weight, or
-    by the cut-vertex bound when the core of a star certificate is the
-    heaviest class; an exact solve by its own value."""
+    by a star certificate's cut-vertex bound when it meets the value; an
+    exact solve by its own value."""
     max_seconds = _budget_seconds()
     if algorithm in ("minmax-bcpk", "eps-minmax-bcpk") and k == 2:
         raise InputError(
@@ -160,11 +160,11 @@ def _run(
     value = w_plus(g, result.classes)
     bound_kind = "average"
     bound: Fraction = average_weight_bound(g, k)
-    if result.star is not None:  # set only on StarOptimal
-        core = next(c for c in result.classes if result.star.u in c)
-        if g.weight(core) == value:
-            bound_kind = "cut-vertex"
-            bound = Fraction(cut_vertex_bound(g, k, result.star.u))
+    # The cut-vertex bound when it meets the value: it is the weight of the
+    # star center's class, so it does exactly when that class is heaviest.
+    if result.star is not None and cut_vertex_bound(g, k, result.star) == value:
+        bound_kind = "cut-vertex"
+        bound = Fraction(value)
     return RunReport(
         value, result.classes, result.certificate.value, bound_kind, bound,
         wall_ms, result.iterations,

@@ -255,9 +255,10 @@ def star_center_certificate(g: WeightedGraph, p: Partition) -> StarCenterCertifi
     comps = sort_classes(g, components(g, frozenset(range(g.n)) - {u}))
     if v1 not in comps or v2 not in comps:
         raise ContractViolation("V1 and V2 must be components of G-u")
-    for c in comps:
-        if c not in (v1, v2) and g.weight(c) > w1:
-            raise ContractViolation("a stray component outweighs V1")
+    # comps ascend, so the last stray component is the heaviest
+    stray = next((c for c in reversed(comps) if c not in (v1, v2)), None)
+    if stray is not None and g.weight(stray) > w1:
+        raise ContractViolation("a stray component outweighs V1")
     if len(comps) == 3 and 4 * g.weights[u] <= total:
         raise ContractViolation("with 3 components the center must weigh > w(G)/4")
     return StarCenterCertificate(u=u, comps=comps)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ContractViolation
-from .graph import VertexSet, WeightedGraph, components, is_connected
+from .graph import VertexSet, WeightedGraph, is_connected
 
 Partition = tuple[VertexSet, ...]
 
@@ -77,32 +77,13 @@ def average_weight_bound(g: WeightedGraph, k: int) -> Fraction:
     return Fraction(g.total_weight, k)
 
 
-def cut_vertex_bound(g: WeightedGraph, k: int, u: int) -> int:
-    """Lower bound on the min-max optimum from a cut vertex u.
-
-    If removing u leaves ell >= k-1 components, the class containing u in any
-    connected k-partition must absorb the ell-k+1 lightest of them, so its
-    weight is at least w(u) plus their total.
-    """
-    rest = frozenset(range(g.n)) - {u}
-    if not rest:
-        raise ContractViolation("cut_vertex_bound() needs at least two vertices")
-    comps = components(g, rest)
-    ell = len(comps)
-    if ell < max(2, k - 1):
-        raise ContractViolation(
-            f"vertex {u} leaves {ell} components; need a cut vertex with >= {k - 1}"
-        )
-    weights = sorted(g.weight(c) for c in comps)
-    return g.weights[u] + sum(weights[: ell - k + 1])
-
-
 @dataclass(frozen=True)
 class StarCenterCertificate:
     """Optimality certificate built around a cut vertex u.
 
     comps holds the components of G-u sorted by (weight, smallest id)
-    ascending; ell is their count.
+    ascending; ell is their count.  `cut_vertex_bound` relies on that
+    order to take the lightest components as a prefix.
     """
 
     u: int
@@ -111,3 +92,19 @@ class StarCenterCertificate:
     @property
     def ell(self) -> int:
         return len(self.comps)
+
+
+def cut_vertex_bound(g: WeightedGraph, k: int, star: StarCenterCertificate) -> int:
+    """Lower bound on the min-max optimum from a star certificate's cut vertex u.
+
+    If removing u leaves ell >= k-1 components, the class containing u in any
+    connected k-partition must absorb the ell-k+1 lightest of them, so its
+    weight is at least w(u) plus their total: the first ell-k+1 of the
+    certificate's ascending components.
+    """
+    ell = star.ell
+    if ell < max(2, k - 1):
+        raise ContractViolation(
+            f"vertex {star.u} leaves {ell} components; need a cut vertex with >= {k - 1}"
+        )
+    return g.weights[star.u] + sum(g.weight(c) for c in star.comps[: ell - k + 1])

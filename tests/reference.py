@@ -31,12 +31,19 @@ from bcp.graph import (
 )
 from bcp.minmax import _improvement_loop, initial_3partition
 from bcp.oracle import enumerate_connected_kpartitions
-from bcp.partition import Partition, sort_classes
+from bcp.partition import Partition, StarCenterCertificate, sort_classes
 
 
 def w_minus(g: WeightedGraph, p: Partition) -> int:
     """Weight of the lightest class."""
     return min(g.weight(c) for c in p)
+
+
+def star_of(g: WeightedGraph, u: int) -> StarCenterCertificate:
+    """A certificate around any vertex u, from a fresh walk of G - u: its
+    components sorted by (weight, smallest id), without the checks of
+    bcp.minmax.star_center_certificate."""
+    return StarCenterCertificate(u, sort_classes(g, components(g, frozenset(range(g.n)) - {u})))
 
 
 def minmax_bcp3(g: WeightedGraph) -> Partition:

@@ -38,7 +38,14 @@ from .conftest import (
     random_connected_graph,
     star_graph,
 )
-from .reference import carried, cut_holds, minmax_bcp3, model_order, oracle_pull_admissible
+from .reference import (
+    carried,
+    cut_holds,
+    minmax_bcp3,
+    model_order,
+    oracle_pull_admissible,
+    star_of,
+)
 
 KS = (3, 4, 5)
 
@@ -126,7 +133,9 @@ def test_criterion_03_star_certificate_matches_bound(suite1):
         core = next(c for c in r.result.classes if star.u in c)
         got = w_plus(r.graph, r.result.classes)
         if r.graph.weight(core) == got:
-            assert got == cut_vertex_bound(r.graph, r.k, star.u) == r.opt
+            fresh = star_of(r.graph, star.u)  # G - u walked again, independently
+            assert got == cut_vertex_bound(r.graph, r.k, star) == cut_vertex_bound(
+                r.graph, r.k, fresh) == r.opt
             checked += 1
     assert checked > 0
     print(f"\n[acceptance] criterion 3 (cut-vertex bound tight, {checked} cases): PASS")

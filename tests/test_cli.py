@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bcp.cli
+import bcp.graph
 from bcp.cli import run_cli
 from bcp.errors import InternalError
 from bcp.instances import generate, parse_instance, write_instance
@@ -82,6 +83,27 @@ class TestSolve:
             with pytest.raises(InternalError, match=match):
                 run_cli(["solve", instance, "--k", str(k), *extra])
             assert "partition:" not in capsys.readouterr().out
+
+    def test_star_solve_walks_g_minus_u_once(self, tmp_path, capsys, monkeypatch):
+        # The star certificate walks G - u once; the cut-vertex bound and the
+        # CLI read its components.
+        path = tmp_path / "star2000.bcp"
+        path.write_text(write_instance(generate("star", 2000, (1, 1000), 1)))
+        original = bcp.graph.components
+        calls = []
+
+        def counted(g, s):
+            calls.append(len(s))
+            return original(g, s)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "bcp" and getattr(module, "components", None) is original:
+                monkeypatch.setattr(module, "components", counted)
+        assert run_cli(["solve", str(path), "--k", "16"]) == 0
+        out = lines_of(capsys)
+        assert "certificate: StarOptimal" in out
+        assert "bound (cut-vertex): 1000359" in out
+        assert calls == [1999]
 
     def test_k2_is_input_error(self, path5, capsys):
         assert run_cli(["solve", path5, "--k", "2"]) == 2

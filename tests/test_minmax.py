@@ -155,6 +155,19 @@ class TestStarCertificate:
         assert cert.u == 0
         assert cert.ell == 3
 
+    def test_heavy_stray_component_rejected(self):
+        g = star_graph(4, [1, 1, 1, 5])
+        p = (frozenset({1}), frozenset({2}), frozenset({0, 3}))
+        with pytest.raises(ContractViolation, match="a stray component outweighs V1"):
+            star_center_certificate(g, p)
+
+    def test_stray_component_may_tie_v1(self):
+        g = star_graph(4, [3, 1, 1, 1])
+        p = (frozenset({1}), frozenset({2}), frozenset({0, 3}))
+        cert = star_center_certificate(g, p)
+        assert cert.u == 0
+        assert cert.ell == 3
+
     def test_rejected_below_half(self):
         g = path_graph(6)
         p = minmax_bcp3(g)

@@ -14,7 +14,7 @@ from bcp.partition import (
 )
 
 from .conftest import connected_graphs, path_graph, star_graph
-from .reference import w_minus
+from .reference import star_of, w_minus
 
 
 def fs(*vs):
@@ -83,19 +83,21 @@ class TestAverageWeightBound:
 class TestCutVertexBound:
     def test_star_center(self):
         g = star_graph(5)
-        assert cut_vertex_bound(g, 3, 0) == 3
+        assert cut_vertex_bound(g, 3, star_of(g, 0)) == 3
         assert exact_minmax(g, 3)[0] == 3
 
     def test_path_empty_component_sum(self):
-        assert cut_vertex_bound(path_graph(3), 3, 1) == 1
+        g = path_graph(3)
+        assert cut_vertex_bound(g, 3, star_of(g, 1)) == 1
 
     def test_weighted_star(self):
         g = star_graph(5, [1, 1, 2, 3, 4])
-        assert cut_vertex_bound(g, 3, 0) == 1 + 1 + 2
+        assert cut_vertex_bound(g, 3, star_of(g, 0)) == 1 + 1 + 2
 
     def test_non_cut_vertex_rejected(self):
+        g = path_graph(3)
         with pytest.raises(ContractViolation):
-            cut_vertex_bound(path_graph(3), 3, 0)
+            cut_vertex_bound(g, 3, star_of(g, 0))
 
 
 @given(connected_graphs(min_n=3, max_n=8))
@@ -119,7 +121,7 @@ def test_bounds_never_exceed_optimum(g):
         assert average_weight_bound(g, k) <= opt
         for u in range(g.n):
             try:
-                bound = cut_vertex_bound(g, k, u)
+                bound = cut_vertex_bound(g, k, star_of(g, u))
             except ContractViolation:
                 continue
             assert bound <= opt
