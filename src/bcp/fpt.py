@@ -21,15 +21,16 @@ search ends.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ContractViolation, InputError, InternalError
-from .graph import VertexSet, WeightedGraph, components, is_connected, mask_reach
+from .graph import VertexSet, WeightedGraph, components, mask_reach
 from .minmax import split_off_singletons
-from .partition import Partition, sort_classes
+from .partition import Partition, sort_classes, validate
 
 
 def greedy_vertex_cover(g: WeightedGraph) -> VertexSet:
@@ -212,7 +213,8 @@ def reconstruct(
     by `separate`, in `sort_classes` order ((size, min id) under uniform
     weights): class i takes the alloc[j][i] lowest-id members of I(S) that
     the classes before it left.  Counts that do not hand out exactly each
-    group raise, and so does a disconnected class: separation was incomplete."""
+    group raise, and so does a class `partition.validate` finds disconnected:
+    separation was incomplete."""
     groups = dec.classes_by_neighborhood
     if len(alloc) != len(groups):
         raise ContractViolation("counts must name exactly the neighborhood classes")
@@ -226,11 +228,10 @@ def reconstruct(
         for c, cnt in zip(decoded, counts):
             c.update(members[at : at + cnt])
             at += cnt
-    classes = [frozenset(c) for c in decoded]
-    for c in classes:
-        if not is_connected(dec.graph, c):
-            raise ContractViolation(f"decoded class {sorted(c)} is not connected")
-    return sort_classes(dec.graph, classes)
+    report = validate(dec.graph, decoded, len(decoded))
+    if report:
+        raise ContractViolation("decoded partition is not connected: " + "; ".join(report))
+    return sort_classes(dec.graph, map(frozenset, decoded))
 
 
 def _max_flow(
@@ -485,22 +486,19 @@ def solve_fpt_maxmin(
     # Memo of the stable units that can attach to a class reaching a mask of
     # cover positions: counts and set_masks are fixed for the solve, so each
     # of at most 2^|X| masks is summed once.
-    attach_by_reach: dict[int, int] = {}
+    attach = functools.cache(lambda reach: sum(c for c, sm in zip(counts, set_masks) if sm & reach))
 
     def upper_bound(pos: int, used: int) -> int:
         rem = (1 << len(xs)) - (1 << pos)
         remaining = len(xs) - pos
         ub = cap_value
         for cm in class_masks[:used]:
-            reach = cm | rem
-            if reach not in attach_by_reach:
-                attach_by_reach[reach] = sum(c for c, sm in zip(counts, set_masks) if sm & reach)
-            ub = min(ub, bin(cm).count("1") + remaining + attach_by_reach[reach])
+            ub = min(ub, cm.bit_count() + remaining + attach(cm | rem))
         return ub
 
     def leaf() -> None:
         nonlocal best_value, best
-        bases = [bin(cm).count("1") for cm in class_masks]
+        bases = [cm.bit_count() for cm in class_masks]
         elig = [
             [i for i in range(k) if sm & class_masks[i]] for sm in set_masks
         ]

@@ -36,15 +36,14 @@ def validate(g: WeightedGraph, p: Sequence[Iterable[int]], k: int) -> list[str]:
         if not c:
             report.append(f"class {idx} is empty")
             continue
-        out_of_range = sorted(v for v in c if not 0 <= v < g.n)
-        if out_of_range:
-            report.append(f"class {idx} has unknown vertices {out_of_range}")
-            continue
         overlap = sorted(c & covered)
         if overlap:
             report.append(f"class {idx} overlaps earlier classes on {overlap}")
         covered |= c
-        if not is_connected(g, c):
+        out_of_range = sorted(v for v in c if not 0 <= v < g.n)
+        if out_of_range:
+            report.append(f"class {idx} has unknown vertices {out_of_range}")
+        elif not is_connected(g, c):
             report.append(f"class {idx} ({sorted(c)}) is disconnected")
     missing = sorted(set(range(g.n)) - covered)
     if missing:

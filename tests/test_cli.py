@@ -108,6 +108,11 @@ class TestSolve:
     def test_k2_is_input_error(self, path5, capsys):
         assert run_cli(["solve", path5, "--k", "2"]) == 2
 
+    def test_epsilon_solve_checks_k_itself(self, path5, capsys):
+        # eps_minmax_bcpk rejects k before it divides epsilon by k/2.
+        assert run_cli(["solve", path5, "--k", "0", "--epsilon", "1/2"]) == 2
+        assert "k must be in [3, 5], got 0" in capsys.readouterr().err
+
     def test_epsilon(self, star5, capsys):
         assert run_cli(["solve", star5, "--k", "3", "--epsilon", "1/2"]) == 0
         out = lines_of(capsys)
@@ -192,6 +197,10 @@ class TestFptMaxmin:
     def test_bad_cover(self, path4):
         assert run_cli(["fpt-maxmin", path4, "--k", "2", "--cover", "0,3"]) == 2
 
+    def test_cover_vertex_out_of_range(self, path4, capsys):
+        assert run_cli(["fpt-maxmin", path4, "--k", "2", "--cover", "0,99"]) == 2
+        assert "error: cover vertex 99 out of range" in capsys.readouterr().err
+
     def test_empty_cover(self, path4):
         assert run_cli(["fpt-maxmin", path4, "--k", "2", "--cover", ""]) == 2
 
@@ -250,11 +259,26 @@ class TestGenValidate:
         assert run_cli(["validate", path5, str(part)]) == 0
         assert "valid" in capsys.readouterr().out
 
+    def test_validate_skips_comment_and_blank_lines(self, path5, tmp_path, capsys):
+        part = tmp_path / "part.txt"
+        part.write_text("c two classes\n0 1\n\n2 3 4\n")
+        assert run_cli(["validate", path5, str(part)]) == 0
+        assert lines_of(capsys) == ["valid connected 2-partition; class weights [2, 3]"]
+
     def test_validate_bad(self, path5, tmp_path, capsys):
         part = tmp_path / "part.txt"
         part.write_text("0 2\n1 3 4\n")
         assert run_cli(["validate", path5, str(part)]) == 2
         assert "disconnected" in capsys.readouterr().out
+
+    def test_validate_reports_unknown_ids_beside_overlaps(self, star5, tmp_path, capsys):
+        part = tmp_path / "part.txt"
+        part.write_text("0 1 99\n0 2\n3\n4\n")
+        assert run_cli(["validate", star5, str(part)]) == 2
+        assert lines_of(capsys) == [
+            "invalid: class 0 has unknown vertices [99]",
+            "invalid: class 1 overlaps earlier classes on [0]",
+        ]
 
     def test_validate_rejects_repeated_vertex(self, tmp_path, capsys):
         inst = tmp_path / "p3.bcp"

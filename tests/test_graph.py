@@ -54,6 +54,16 @@ class TestConstruction:
         with pytest.raises(InputError):
             WeightedGraph.from_edges(2, [(0, 1)], [1, 0])
 
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [(0, [], "vertex count must be >= 1, got 0"),
+         (2, [(0, 5)], r"edge \(0,5\) out of range 0\.\.1")],
+        ids=["no-vertices", "edge-range"],
+    )
+    def test_rejects_bad_order_and_endpoints(self, n, edges, message):
+        with pytest.raises(InputError, match=message):
+            WeightedGraph.from_edges(n, edges)
+
     def test_adjacency_sorted_and_totals(self):
         g = WeightedGraph.from_edges(3, [(2, 0), (0, 1)], [5, 2, 3])
         assert g.adjacency[0] == (1, 2)
@@ -152,6 +162,10 @@ class TestSplitTwo:
     def test_too_small_rejected(self):
         with pytest.raises(ContractViolation):
             split_two(path_graph(3), fs(1))
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(ContractViolation, match="requires a connected vertex set"):
+            split_two(path_graph(3), fs(0, 2))
 
 
 class TestBoundaryNeighbors:

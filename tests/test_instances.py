@@ -85,9 +85,12 @@ class TestParse:
             ("p bcp 2 1\nv 0 1\nv 1 1\ne 0 one\n", "endpoints must be integers", 4),
             ("p bcp 2 1\nv 0 1\nv 1 1\ne 0 5\n", r"edge \(0,5\) out of range", 4),
             ("c no problem line\n", "missing problem line", None),
+            ("v 0 1\np bcp 1 0\n", "vertex line before problem line", 1),
+            ("e 0 1\np bcp 2 1\n", "edge line before problem line", 1),
+            ("p bcp 2 1\nv x 1\n", "bad vertex id 'x'", 2),
         ],
         ids=["short-p", "bad-p", "count", "vertex-range", "duplicate-v", "short-e",
-             "endpoint", "edge-range", "no-p"],
+             "endpoint", "edge-range", "no-p", "v-before-p", "e-before-p", "vertex-id"],
     )
     def test_malformed_lines_name_their_line(self, text, message, line):
         with pytest.raises(ParseError, match=message) as exc:

@@ -92,6 +92,12 @@ class TestPullCheck:
         with pytest.raises(ContractViolation):
             pull_check(g, carried(g, p), 3)
 
+    def test_light_heavy_class_rejected(self):
+        g = path_graph(6)
+        p = order3(g, [fs(0, 1), fs(2, 3), fs(4, 5)])
+        with pytest.raises(ContractViolation, match=r"requires w\(V3\) > w\(G\)/2"):
+            pull_check(g, carried(g, p), 1)
+
 
 class TestPull:
     def test_p5_trace(self):
@@ -172,6 +178,29 @@ class TestStarCertificate:
         g = path_graph(6)
         p = minmax_bcp3(g)
         with pytest.raises(ContractViolation):
+            star_center_certificate(g, p)
+
+    # The certificate does not check that p is a partition, so the w(V1) <
+    # w(G)/4 guard is reached only by an overlapping V3 and the
+    # components guard by a disconnected V1.  No p reaches the guard on a
+    # light center with three components: V3 lies in u and the stray s,
+    # and w(u) + w(s) > w(V1) + w(V2) with 4 w(u) <= w(G) would need
+    # w(V1) + w(V2) < 2 w(s), against w(s) <= w(V1) <= w(V2).
+    @pytest.mark.parametrize(
+        "g, p, message",
+        [
+            (path_graph(5), (fs(2, 3, 4), fs(0), fs(1)), "weight-ordered"),
+            (path_graph(3, [1, 5, 1]), (fs(0), fs(2), fs(1)), r"\|V3\| >= 2"),
+            (path_graph(5), (fs(0), fs(1), fs(2, 3, 4)), "must not be adjacent"),
+            (path_graph(4), (fs(0), fs(3), fs(0, 1, 2, 3)), r"w\(V1\) < w\(G\)/4"),
+            (path_graph(5), (fs(0), fs(4), fs(1, 2, 3)), "single shared contact vertex"),
+            (star_graph(6, [20, 1, 1, 3, 1, 1]), (fs(1, 2), fs(3), fs(0, 4, 5)),
+             "must be components of G-u"),
+        ],
+        ids=["unordered", "singleton-v3", "adjacent", "heavy-v1", "two-contacts", "not-a-component"],
+    )
+    def test_structure_mismatch_rejected(self, g, p, message):
+        with pytest.raises(ContractViolation, match=message):
             star_center_certificate(g, p)
 
 

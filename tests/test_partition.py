@@ -39,6 +39,17 @@ class TestValidate:
         assert any("empty" in item for item in report)
         assert any("overlaps" in item for item in report)
 
+    def test_unknown_vertex_keeps_its_known_members_covered(self):
+        report = validate(star_graph(5), [fs(0, 1, 99), fs(2), fs(3), fs(4)], 4)
+        assert report == ["class 0 has unknown vertices [99]"]
+
+    def test_unknown_vertex_class_still_counts_for_overlaps(self):
+        report = validate(star_graph(5), [fs(0, 1, 99), fs(0, 2), fs(3), fs(4)], 4)
+        assert report == [
+            "class 0 has unknown vertices [99]",
+            "class 1 overlaps earlier classes on [0]",
+        ]
+
 
 class TestOrder3:
     def test_sorts_by_weight(self):
