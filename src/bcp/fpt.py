@@ -17,6 +17,13 @@ flow leaves unmet.  The pool never excludes the encoding of a real
 connected partition, so the search is exact.  Vertex ids return only when
 the pool is rendered and when the best candidate is decoded, once, as the
 search ends.
+
+Two shortcuts keep the search from proving a fact twice.  No lightest
+class beats n // k vertices, so when the max-min tree greedy on G's DFS
+tree (`graph.split_at_least`) reaches that cap, its classes are the answer
+and no node is searched.  And a leaf whose transport, before any cut binds,
+cannot beat the best value refutes its kind, the multiset of its classes'
+(size, groups met): every later leaf of that kind is skipped unprobed.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ContractViolation, InputError, InternalError
-from .graph import VertexSet, WeightedGraph, components, mask_reach
+from .graph import VertexSet, WeightedGraph, components, mask_reach, split_at_least
 from .minmax import split_off_singletons
 from .partition import Partition, sort_classes, validate
 
@@ -446,11 +453,15 @@ def solve_fpt_maxmin(
 
     Rejects non-uniform weights.  The search counts vertices; the value is
     the lightest class's count times the common weight.  With k exceeding
-    the cover size the optimum count is 1 and a witness is built directly; otherwise cover vertices
-    are assigned to classes depth-first (new classes opened in index order
-    to break symmetry) and each complete assignment is finished by the exact
-    count distribution, with lazy connectivity cuts repairing disconnected
-    candidates.
+    the cover size the optimum count is 1 and a witness is built directly.
+    When the cap n // k is at least 2 and a split of G's DFS tree reaches
+    it, that split is returned, validated, with nodes 0 and no cuts.
+    Otherwise cover vertices are assigned to classes depth-first (new
+    classes opened in index order to break symmetry) and each complete
+    assignment is finished by the exact count distribution, with lazy
+    connectivity cuts repairing disconnected candidates; a leaf of a kind
+    whose transport without covers already failed is skipped, which
+    changes no node count, cut or witness.
     """
     if len(set(g.weights)) > 1:
         raise InputError("max-min solver handles uniform weights only")
@@ -473,9 +484,23 @@ def solve_fpt_maxmin(
             value=g.weights[0], classes=sort_classes(g, classes), model=model, nodes=0
         )
 
+    # No k-partition's lightest class beats n // k vertices.  At a cap of two
+    # or more, each class of the split is connected with two vertices or
+    # more, so it holds an edge and hence a cover vertex: the shape of every
+    # search witness.
+    cap_value = g.n // k
+    if cap_value >= 2:
+        split = split_at_least(g, k, cap_value * g.weights[0])
+        if split is not None:
+            report = validate(g, split, k)
+            if report:
+                raise InternalError("tree split is not a connected partition: " + "; ".join(report))
+            return FptResult(
+                value=cap_value * g.weights[0], classes=sort_classes(g, split), model=model, nodes=0
+            )
+
     counts = [len(members) for members in dec.classes_by_neighborhood.values()]
     set_masks = dec.set_masks
-    cap_value = g.n // k
 
     best_value = 0
     best: tuple[list[int], list[list[int]]] | None = None  # (class masks, allocation)
@@ -487,6 +512,12 @@ def solve_fpt_maxmin(
     # cover positions: counts and set_masks are fixed for the solve, so each
     # of at most 2^|X| masks is summed once.
     attach = functools.cache(lambda reach: sum(c for c, sm in zip(counts, set_masks) if sm & reach))
+    # A leaf's kind: the multiset of its classes' (size, mask of the groups
+    # whose S meets the class).  The transport without covers sees only
+    # that, up to relabelling the classes, and must beat best_value, which
+    # only rises; so a kind it once refutes stays refuted.
+    groups_of = functools.cache(lambda cm: sum(1 << j for j, sm in enumerate(set_masks) if sm & cm))
+    refuted: set[tuple[tuple[int, int], ...]] = set()
 
     def upper_bound(pos: int, used: int) -> int:
         rem = (1 << len(xs)) - (1 << pos)
@@ -499,6 +530,9 @@ def solve_fpt_maxmin(
     def leaf() -> None:
         nonlocal best_value, best
         bases = [cm.bit_count() for cm in class_masks]
+        kind = tuple(sorted(zip(bases, map(groups_of, class_masks))))
+        if kind in refuted:
+            return
         elig = [
             [i for i in range(k) if sm & class_masks[i]] for sm in set_masks
         ]
@@ -518,6 +552,8 @@ def solve_fpt_maxmin(
                 covers.append((i, cover))
             res = _distribute(counts, elig, bases, covers, cap_value, best_value, deadline)
             if res is None:
+                if not covers:
+                    refuted.add(kind)
                 return
             value, alloc = res
             cuts = separate(dec, class_masks, alloc)

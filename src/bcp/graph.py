@@ -8,7 +8,7 @@ they never mutate their inputs, so values can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import ContractViolation, InputError
 
@@ -195,7 +195,7 @@ def mask_reach(nbr: Sequence[int], within: int) -> int:
 
 
 def _dfs_tree(
-    g: WeightedGraph, s: AbstractSet[int], root: int
+    g: WeightedGraph, s: Container[int], root: int
 ) -> tuple[list[int], dict[int, int]]:
     """Iterative DFS preorder inside the induced subgraph G[s], ascending
     neighbor ids explored first, plus the parent map of its spanning tree."""
@@ -268,6 +268,35 @@ def split_two(g: WeightedGraph, s: VertexSet) -> tuple[VertexSet, VertexSet]:
     at = min(range(1, len(order)), key=imbalance_then_edge)
     below = frozenset(order[at : at + size[order[at]]])
     return s - below, below
+
+
+def split_at_least(g: WeightedGraph, k: int, bound: int) -> list[VertexSet] | None:
+    """k connected classes, each weighing at least `bound`, cut from G's DFS
+    tree from vertex 0, or None where this greedy finds none.
+
+    The max-min tree greedy (Perl & Schach 1981): walking the preorder
+    backwards, a vertex's residue is its weight plus its uncut children's
+    residues, and its subtree is cut off once the residue reaches `bound`,
+    at most k - 1 times.  The root keeps the rest, which must reach `bound`
+    too.  Each cut piece and the root's rest hold their tree's top vertex
+    and its uncut descendants, so each is connected.
+    """
+    order, parent = _dfs_tree(g, range(g.n), 0)
+    residue = list(g.weights)
+    cut: set[int] = set()
+    for v in reversed(order[1:]):
+        if len(cut) < k - 1 and residue[v] >= bound:
+            cut.add(v)
+        else:
+            residue[parent[v]] += residue[v]
+    if len(cut) < k - 1 or residue[0] < bound:
+        return None
+    top = {0: 0}  # vertex -> the top vertex of its piece
+    pieces: dict[int, list[int]] = {0: [0]}
+    for v in order[1:]:
+        t = top[v] = v if v in cut else top[parent[v]]
+        pieces.setdefault(t, []).append(v)
+    return [frozenset(piece) for piece in pieces.values()]
 
 
 def boundary_neighbors(g: WeightedGraph, frm: VertexSet, inside: VertexSet) -> list[int]:

@@ -253,6 +253,17 @@ def test_criterion_06_fpt_exactness(suite6):
     print(f"\n[acceptance] criterion 6 (fpt exactness, {len(suite6)} runs): PASS")
 
 
+def test_criterion_06_certified_classes_hold_cover_vertices(suite6):
+    # A solve that the DFS-tree split settles searches no node.  At a cap of
+    # two or more vertices each class holds an edge, hence a cover vertex,
+    # the shape every search witness has.
+    certified = [r for r in suite6 if r.k <= len(r.cover) and r.result.nodes == 0]
+    assert len(certified) >= 100
+    for r in certified:
+        assert r.result.value == r.graph.n // r.k >= 2
+        assert all(c & frozenset(r.cover) for c in r.result.classes)
+
+
 def test_criterion_07_cut_validity(suite6):
     cuts_checked = 0
     for r in suite6:

@@ -16,7 +16,7 @@ from bcp.cli import run_cli
 from bcp.errors import InternalError
 from bcp.instances import generate, parse_instance, write_instance
 
-from .conftest import connected_graphs, path_graph, star_graph
+from .conftest import connected_graphs, grid_graph, path_graph, star_graph
 
 
 @pytest.fixture
@@ -214,6 +214,17 @@ class TestFptMaxmin:
         assert run_cli(["fpt-maxmin", star5, "--k", "2"]) == 0
         monkeypatch.setenv("BCP_BUDGET_SECONDS", "0")
         assert run_cli(["fpt-maxmin", star5, "--k", "2"]) == 3
+
+    def test_zero_budget_stops_a_certified_ladder(self, tmp_path, monkeypatch, capsys):
+        # The split of the 2x10 ladder's DFS tree reaches n // k = 5, so the
+        # solve searches no node; a zero budget still stops it.
+        inst = tmp_path / "ladder.bcp"
+        inst.write_text(write_instance(grid_graph(2, 10)))
+        assert run_cli(["fpt-maxmin", str(inst), "--k", "4"]) == 0
+        out = lines_of(capsys)
+        assert "value: 5" in out and "nodes: 0" in out and "cuts: 0" in out
+        monkeypatch.setenv("BCP_BUDGET_SECONDS", "0")
+        assert run_cli(["fpt-maxmin", str(inst), "--k", "4"]) == 3
 
     def test_weighted_rejected(self, tmp_path):
         inst = tmp_path / "w.bcp"

@@ -49,6 +49,17 @@ def ladder(m):
     return grid_graph(2, m), cover
 
 
+def scrambled_ladder(m, seed):
+    """`ladder(m)` under a seeded vertex permutation: the same graph and
+    cover, but G's DFS tree from vertex 0 differs, and at the seeds used
+    here `split_at_least` misses n // k, so the search runs."""
+    g, cover = ladder(m)
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in g.edges()]
+    return WeightedGraph.from_edges(g.n, edges), [perm[v] for v in cover]
+
+
 def hub_graph():
     """Vertex 0 bridges three cover vertices; balance fights connectivity."""
     return WeightedGraph.from_edges(6, [(0, 1), (0, 2), (0, 5), (1, 3), (2, 4)])
@@ -310,10 +321,11 @@ class TestSolve:
         assert solve_fpt_maxmin(g, 2, [1, 2]).value == 6
 
     def test_budget_honoured_inside_distribution(self):
-        # Ladder 2x14 at k=4 spends its time inside _distribute, between two
-        # of the search's every-256-nodes deadline checks, and runs 4.6-6.1 s
-        # unbudgeted on a 2-vCPU VM.
-        g, cover = ladder(14)
+        # Ladder 2x14 at k=4, relabelled so the tree split misses the cap,
+        # spends its time inside _distribute, between two of the search's
+        # every-256-nodes deadline checks, and runs past 20 s unbudgeted on
+        # a 2-vCPU VM.
+        g, cover = scrambled_ladder(14, 0)
         start = time.monotonic()
         with pytest.raises(BudgetExceeded):
             solve_fpt_maxmin(g, 4, cover, max_seconds=0.5)
@@ -327,14 +339,16 @@ class TestSolve:
 
     @pytest.mark.parametrize("m, k", [(10, 4), (12, 3)])
     def test_ladder_reaches_cap(self, m, k):
-        # Both once ran past 20 s inside _distribute; the optimum is n // k.
+        # Both once ran past 20 s inside _distribute; the optimum is n // k,
+        # and the split of the ladder's DFS tree reaches it without a search.
         g, cover = ladder(m)
         result = solve_fpt_maxmin(g, k, cover, max_seconds=10)
         assert result.value == g.n // k
+        assert result.nodes == 0
         assert validate(g, result.classes, k) == []
 
     def test_witness_decoded_once(self, monkeypatch):
-        # The search improves on ladder 2x6 at k=3 three times.
+        # The search improves on this relabelled ladder 2x6 at k=3 three times.
         calls = []
 
         def counting(dec, class_masks, alloc):
@@ -342,8 +356,8 @@ class TestSolve:
             return reconstruct(dec, class_masks, alloc)
 
         monkeypatch.setattr(bcp.fpt, "reconstruct", counting)
-        cover = [r * 6 + c for r in range(2) for c in range(6) if (r + c) % 2 == 0]
-        result = solve_fpt_maxmin(grid_graph(2, 6), 3, cover)
+        g, cover = scrambled_ladder(6, 3)
+        result = solve_fpt_maxmin(g, 3, cover)
         assert len(calls) == 1
         assert result.value == 4
 
@@ -498,6 +512,22 @@ class TestDistribute:
             seen["implied cover"] += len(covers) > len(bcp.fpt._tightest_covers(covers))
             seen["thin group"] += 0 in counts or 1 in counts
         assert min(seen.values()) >= 100, seen
+
+
+def _cover_graph(rng, c, stable, groups):
+    """A random tree on the cover 0..c-1 plus `groups` distinct
+    neighbourhoods of 1-3 cover vertices, each shared by 1 to
+    2 * stable // groups stable vertices."""
+    edges = {(rng.randrange(v), v) for v in range(1, c)}
+    hoods = set()
+    while len(hoods) < groups:
+        hoods.add(tuple(sorted(rng.sample(range(c), rng.randint(1, 3)))))
+    v = c
+    for hood in sorted(hoods):
+        for _ in range(rng.randint(1, 2 * stable // groups)):
+            edges.update((u, v) for u in hood)
+            v += 1
+    return WeightedGraph.from_edges(v, sorted(edges))
 
 
 def _explicit_cover_instances(rng, count):
@@ -656,6 +686,66 @@ def test_distribution_is_optimal_against_exhaustive_search():
         assert got == max(best, 0) or (best == -1 and got >= 0)
 
 
+def test_transport_without_covers_ignores_class_labels():
+    """A leaf's kind refutes it only if the transport without covers gives
+    the same value, or None, however its classes are numbered."""
+    rng = random.Random(0xC1A55)
+    seen = Counter()
+    for _ in range(1500):
+        m, k = rng.randint(1, 6), rng.randint(2, 5)
+        counts = [rng.randint(1, 8) for _ in range(m)]
+        elig = [sorted(rng.sample(range(k), rng.randint(1, k))) for _ in range(m)]
+        bases = [rng.randint(1, 4) for _ in range(k)]
+        cap = (sum(counts) + sum(bases)) // k
+        floor = rng.randint(-1, cap)
+        label = list(range(k))
+        rng.shuffle(label)
+        relabelled_bases = [0] * k
+        for i in range(k):
+            relabelled_bases[label[i]] = bases[i]
+        relabelled_elig = [sorted(label[i] for i in row) for row in elig]
+        got = _distribute(counts, elig, bases, [], cap, floor)
+        relabelled = _distribute(counts, relabelled_elig, relabelled_bases, [], cap, floor)
+        if got is None:
+            assert relabelled is None
+            seen["none"] += 1
+        else:
+            assert relabelled[0] == got[0]
+            seen["value"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_each_kind_of_leaf_is_refuted_once(monkeypatch):
+    """On a 9-vertex cover at k=5 the search visits all 18,540 nodes, and
+    most leaves repeat a kind the transport already refuted: 1,130
+    _distribute calls without the memo, 321 with it.  Value, nodes, cuts and
+    witness are those of the search without the memo."""
+    calls = []
+
+    def recording(counts, elig, bases, covers, *rest):
+        found = _distribute(counts, elig, bases, covers, *rest)
+        groups = [sum(1 << j for j, row in enumerate(elig) if i in row) for i in range(len(bases))]
+        calls.append((tuple(sorted(zip(bases, groups))), not covers and found is None))
+        return found
+
+    monkeypatch.setattr(bcp.fpt, "_distribute", recording)
+    g = _cover_graph(random.Random(5), 9, 60, 4)
+    result = solve_fpt_maxmin(g, 5, range(9))
+    assert (result.value, result.nodes, result.cuts_added) == (6, 18540, 27)
+    assert result.classes == (
+        fs(5, 11, 12, 13, 14, 15),
+        fs(7, 40, 41, 42, 43, 44),
+        fs(0, 2, 3, 4, 9, 10, 39),
+        fs(8, *range(30, 39)),
+        fs(1, 6, *range(16, 30)),
+    )
+    refuted_at = [at for at, (_, refutes) in enumerate(calls) if refutes]
+    assert refuted_at
+    for at in refuted_at:
+        assert calls[at][0] not in {kind for kind, _ in calls[at + 1 :]}
+    assert len(calls) == 321
+
+
 def test_all_oracle_encodings_satisfy_fired_cuts():
     g = hub_graph()
     result = solve_fpt_maxmin(g, 2, [1, 2, 5])
@@ -667,7 +757,7 @@ def test_all_oracle_encodings_satisfy_fired_cuts():
 
 
 def test_cut_count_is_the_dumped_pool():
-    for g, cover, k in [(hub_graph(), [1, 2, 5], 2), (*ladder(10), 4)]:
+    for g, cover, k in [(hub_graph(), [1, 2, 5], 2), (*scrambled_ladder(10, 1), 4)]:
         result = solve_fpt_maxmin(g, k, cover)
         assert result.cuts_added == len(result.model.cuts) >= 1
         assert f"cut pool ({result.cuts_added} cuts):" in result.model.dump().splitlines()
@@ -679,7 +769,9 @@ def test_pool_keeps_each_cuts_masks():
     inequality fails under zero stable counts."""
     rng = random.Random(0xC07)
     seen = Counter()
-    for g, cover, k in [(hub_graph(), [1, 2, 5], 2), (*ladder(6), 3), (*ladder(8), 3)]:
+    for g, cover, k in [
+        (hub_graph(), [1, 2, 5], 2), (*scrambled_ladder(6, 3), 3), (*scrambled_ladder(8, 5), 3)
+    ]:
         result = solve_fpt_maxmin(g, k, cover)
         model = result.model
         assert model.cuts
@@ -700,9 +792,10 @@ def test_pool_keeps_each_cuts_masks():
 
 
 def test_leaf_covers_list_only_eligible_groups(monkeypatch):
-    # On ladder 2x10 at k=4 a binding cut's F often holds groups that touch
-    # only cover vertices now outside the cut's class; no unit of theirs
-    # can reach the class, so the leaf leaves them out of its cover.
+    # On a relabelled ladder 2x10 at k=4 a binding cut's F often holds
+    # groups that touch only cover vertices now outside the cut's class; no
+    # unit of theirs can reach the class, so the leaf leaves them out of its
+    # cover.
     seen = Counter()
 
     def recording(counts, elig, bases, covers, *rest):
@@ -712,7 +805,7 @@ def test_leaf_covers_list_only_eligible_groups(monkeypatch):
         return _distribute(counts, elig, bases, covers, *rest)
 
     monkeypatch.setattr(bcp.fpt, "_distribute", recording)
-    g, cover = ladder(10)
+    g, cover = scrambled_ladder(10, 1)
     assert solve_fpt_maxmin(g, 4, cover).value == 5
     assert seen["covers"] >= 100, seen
 

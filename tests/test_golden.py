@@ -49,14 +49,22 @@ CASES = [
      ["fpt-maxmin", "--k", "3", "--dump-model", "model.txt"],
      "e7d35b11c89113902684db5e4ba22846aede2632c70e14c09e2a68df26b70a3d",
      "cec62badd74f7b60b37fd23c57c53bd4fa41e90b752774ef26f76aefd1735c6f"),
+    # Both grids reach n // k on a split of their DFS tree: no node is
+    # searched and the cut pool is empty.
     ("fpt-grid", "grid", 15, (1, 1), 13,
      ["fpt-maxmin", "--k", "3", "--dump-model", "model.txt"],
-     "f5f3e5131ab12a82e6c266a0d4a6d9abfdc95ee5e77171cebac949d54b655f07",
-     "08b9199f150873aa2c619bc096602d2803b016a6c96546f1a84f907f93a1b5d3"),
+     "14ea15d5a24a865f4be483735d0338b02afbabef9d2b85c16d39a888f361bf07",
+     "10871cdf8bc5831bfe2c1bf219a9466d2f948fe9531023ba99effa204ab0df3e"),
     # A given cover and no dumped model: no `model dumped to` line.
     ("fpt-grid-cover", "grid", 12, (1, 1), 14,
      ["fpt-maxmin", "--k", "3", "--cover", "0,2,5,7,8,10"],
-     "36ce256a4f2de014aded6328bbfdcf73f25820c189db30cc27a331e9881d7c30", None),
+     "b6771fac3d2bfc74413fd48a96a50f14eb6d89f275e38eabc7daf561e59cfddc", None),
+    # Value 7 below the cap of 8: the search visits 13,920 nodes and pools
+    # 467 cuts.
+    ("fpt-tree-search", "random-tree", 24, (1, 1), 1,
+     ["fpt-maxmin", "--k", "3", "--dump-model", "model.txt"],
+     "b765ffdfb5a645629a4fbb8bf1aeb0d201f7b46c49b01d2e310395c093eed855",
+     "02edc67c16f1fd3455da21fb6f021814c9ed194457baa95ac317f6e94a1dca72"),
     # Ends with certificate SingletonTop.
     ("solve-spider-singleton-top", "spider", 6, (1, 9), 3,
      ["solve", "--k", "3"],

@@ -15,10 +15,12 @@ from bcp.graph import (
     mask_reach,
     non_cut_vertex,
     non_cut_vertices,
+    split_at_least,
     split_two,
 )
 from bcp.instances import FAMILIES, generate
 from bcp.minmax import minmax_bcpk
+from bcp.oracle import exact_maxmin
 from bcp.partition import sort_classes, validate
 
 from .conftest import (
@@ -184,6 +186,49 @@ class TestBoundaryNeighbors:
     def test_overlap_rejected(self):
         with pytest.raises(ContractViolation):
             boundary_neighbors(path_graph(3), fs(0, 1), fs(1, 2))
+
+
+class TestSplitAtLeast:
+    def test_path_cut_from_the_far_end(self):
+        assert split_at_least(path_graph(6), 3, 2) == [fs(0, 1), fs(2, 3), fs(4, 5)]
+
+    def test_star_leaves_cut_off_one_by_one(self):
+        assert split_at_least(star_graph(5), 3, 1) == [fs(0, 1, 2), fs(3), fs(4)]
+
+    def test_star_cannot_reach_two(self):
+        # Each leaf alone weighs 1, so the centre would keep every vertex.
+        assert split_at_least(star_graph(5), 2, 2) is None
+
+    @pytest.mark.parametrize(
+        "bound, expected",
+        [(5, [fs(0, 1, 2), fs(3, 4)]), (6, [fs(0, 1), fs(2, 3, 4)]), (7, None)],
+    )
+    def test_weighted_path(self, bound, expected):
+        # At 7 the cut {1, 2, 3, 4} leaves the root's rest {0} weighing 5.
+        assert split_at_least(path_graph(5, [5, 1, 1, 3, 2]), 2, bound) == expected
+
+    def test_exact_on_trees(self):
+        """On a tree the DFS tree is the tree itself, and the greedy reaches
+        exactly the max-min optimum (Perl & Schach 1981)."""
+        rng = random.Random(0x7EE)
+        for _ in range(150):
+            n = rng.randint(2, 10)
+            g = random_connected_graph(rng, n, max_weight=9, extra_edges=0)
+            k = rng.randint(2, min(n, 4))
+            opt, _ = exact_maxmin(g, k)
+            classes = split_at_least(g, k, opt)
+            assert validate(g, classes, k) == []
+            assert min(g.weight(c) for c in classes) >= opt
+            assert split_at_least(g, k, opt + 1) is None
+
+    @given(connected_graphs(max_n=12))
+    def test_classes_are_connected_and_reach_the_bound(self, g):
+        for k in range(2, g.n + 1):
+            for bound in (1, g.total_weight // k):
+                classes = split_at_least(g, k, bound)
+                if classes is not None:
+                    assert validate(g, classes, k) == []
+                    assert min(g.weight(c) for c in classes) >= bound
 
 
 @st.composite
