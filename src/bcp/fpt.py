@@ -19,11 +19,12 @@ the pool is rendered and when the best candidate is decoded, once, as the
 search ends.
 
 Two shortcuts keep the search from proving a fact twice.  No lightest
-class beats n // k vertices, so when the max-min tree greedy on G's DFS
-tree (`graph.split_at_least`) reaches that cap, its classes are the answer
-and no node is searched.  And a leaf whose transport, before any cut binds,
-cannot beat the best value refutes its kind, the multiset of its classes'
-(size, groups met): every later leaf of that kind is skipped unprobed.
+class beats n // k vertices, nor one vertex when k exceeds the cover size,
+so when the max-min tree greedy on G's DFS tree (`graph.split_at_least`)
+reaches that cap, its classes are the answer and no node is searched.  And
+a leaf whose transport, before any cut binds, cannot beat the best value
+refutes its kind, the multiset of its classes' (size, groups met): every
+later leaf of that kind is skipped unprobed.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ContractViolation, InputError, InternalError
 from .graph import VertexSet, WeightedGraph, components, mask_reach, split_at_least
-from .minmax import split_off_singletons
 from .partition import Partition, sort_classes, validate
 
 
@@ -452,10 +452,11 @@ def solve_fpt_maxmin(
     """Exact max-min connected k-partition of a uniformly weighted graph.
 
     Rejects non-uniform weights.  The search counts vertices; the value is
-    the lightest class's count times the common weight.  With k exceeding
-    the cover size the optimum count is 1 and a witness is built directly.
-    When the cap n // k is at least 2 and a split of G's DFS tree reaches
-    it, that split is returned, validated, with nodes 0 and no cuts.
+    the lightest class's count times the common weight.  The count is at
+    most the cap: n // k, or 1 with k exceeding the cover size.  When k
+    exceeds the cover size or the cap is at least 2, and a split of G's DFS
+    tree reaches the cap, that split is returned, validated, with nodes 0
+    and no cuts.
     Otherwise cover vertices are assigned to classes depth-first (new
     classes opened in index order to break symmetry) and each complete
     assignment is finished by the exact count distribution, with lazy
@@ -475,21 +476,14 @@ def solve_fpt_maxmin(
     model = FptModel(dec=dec, k=k)
     xs = list(dec.cover)
 
-    if k > len(xs):
-        # Some class must sit inside the stable set, hence be a singleton:
-        # the optimum count is 1 and peeling singletons off the trivial partition
-        # gives a witness.
-        classes = split_off_singletons(g, (frozenset(range(g.n)),), k - 1)
-        return FptResult(
-            value=g.weights[0], classes=sort_classes(g, classes), model=model, nodes=0
-        )
-
-    # No k-partition's lightest class beats n // k vertices.  At a cap of two
-    # or more, each class of the split is connected with two vertices or
-    # more, so it holds an edge and hence a cover vertex: the shape of every
-    # search witness.
-    cap_value = g.n // k
-    if cap_value >= 2:
+    # No k-partition's lightest class beats n // k vertices.  With k above
+    # the cover size some class holds no cover vertex, so it is a single
+    # stable vertex: the cap is 1, which the split always reaches.  At a cap
+    # of two or more, each class of the split is connected with two vertices
+    # or more, so it holds an edge and hence a cover vertex: the shape of
+    # every search witness.
+    cap_value = g.n // k if k <= len(xs) else 1
+    if cap_value >= 2 or k > len(xs):
         split = split_at_least(g, k, cap_value * g.weights[0])
         if split is not None:
             report = validate(g, split, k)

@@ -279,7 +279,9 @@ def split_at_least(g: WeightedGraph, k: int, bound: int) -> list[VertexSet] | No
     residues, and its subtree is cut off once the residue reaches `bound`,
     at most k - 1 times.  The root keeps the rest, which must reach `bound`
     too.  Each cut piece and the root's rest hold their tree's top vertex
-    and its uncut descendants, so each is connected.
+    and its uncut descendants, so each is connected.  At a bound no heavier
+    than any vertex it cuts the last k - 1 preorder vertices as singletons:
+    the classes of `minmax.split_off_singletons(g, (V,), k - 1)`.
     """
     order, parent = _dfs_tree(g, range(g.n), 0)
     residue = list(g.weights)

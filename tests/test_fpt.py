@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 import bcp.fpt
-from bcp.errors import BudgetExceeded, ContractViolation, InputError
+from bcp.errors import BudgetExceeded, ContractViolation, InputError, InternalError
 from bcp.fpt import (
     CutConstraint,
     FptModel,
@@ -346,6 +346,21 @@ class TestSolve:
         assert result.value == g.n // k
         assert result.nodes == 0
         assert validate(g, result.classes, k) == []
+
+    @pytest.mark.parametrize(
+        "g, cover, k, broken",
+        [
+            # k above the cover size: leaves 1 and 2 share a class.
+            (star_graph(5), [0], 3, [fs(0), fs(1, 2), fs(3, 4)]),
+            # The cap n // k = 5 of ladder 2x10 at k=4: 0 and 19 share one.
+            (*ladder(10), 4, [fs(0, 19), fs(1, 2, 3, 4, 5), fs(6, 7, 8, 9), fs(*range(10, 19))]),
+        ],
+        ids=["k-above-cover", "cap"],
+    )
+    def test_disconnected_tree_split_is_an_internal_error(self, monkeypatch, g, cover, k, broken):
+        monkeypatch.setattr(bcp.fpt, "split_at_least", lambda g, k, bound: broken)
+        with pytest.raises(InternalError, match="tree split is not a connected partition"):
+            solve_fpt_maxmin(g, k, cover)
 
     def test_witness_decoded_once(self, monkeypatch):
         # The search improves on this relabelled ladder 2x6 at k=3 three times.

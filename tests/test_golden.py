@@ -65,6 +65,16 @@ CASES = [
      ["fpt-maxmin", "--k", "3", "--dump-model", "model.txt"],
      "b765ffdfb5a645629a4fbb8bf1aeb0d201f7b46c49b01d2e310395c093eed855",
      "02edc67c16f1fd3455da21fb6f021814c9ed194457baa95ac317f6e94a1dca72"),
+    # k above the cover size: the same split of G's DFS tree cuts its last
+    # k - 1 preorder vertices off as singletons, value one vertex's weight.
+    ("fpt-star-above-cover", "star", 9, (1, 1), 15,
+     ["fpt-maxmin", "--k", "4", "--dump-model", "model.txt"],
+     "050a3ee2d2c3b6c9383c287145fc8ad21948029f8870dd49d67228caef613a98",
+     "eab3f6800f5d70a5836b993880a2769e89db19771c7d1258a554016994ad617d"),
+    ("fpt-spider-above-cover", "spider", 13, (2, 2), 16,
+     ["fpt-maxmin", "--k", "8", "--dump-model", "model.txt"],
+     "4ad417944578d599b3eba9f35c59d3d8cd133f5be4ff1c40f97ada255564de2a",
+     "ff5434309fba4c2be4e4f7c5f009a5b7f20c852f4ef2fd129cede5797014014d"),
     # Ends with certificate SingletonTop.
     ("solve-spider-singleton-top", "spider", 6, (1, 9), 3,
      ["solve", "--k", "3"],

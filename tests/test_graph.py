@@ -19,7 +19,7 @@ from bcp.graph import (
     split_two,
 )
 from bcp.instances import FAMILIES, generate
-from bcp.minmax import minmax_bcpk
+from bcp.minmax import minmax_bcpk, split_off_singletons
 from bcp.oracle import exact_maxmin
 from bcp.partition import sort_classes, validate
 
@@ -223,9 +223,17 @@ class TestSplitAtLeast:
 
     @given(connected_graphs(max_n=12))
     def test_classes_are_connected_and_reach_the_bound(self, g):
+        lightest = min(g.weights)
         for k in range(2, g.n + 1):
-            for bound in (1, g.total_weight // k):
+            for bound in (1, lightest, g.total_weight // k):
                 classes = split_at_least(g, k, bound)
+                if bound == lightest:
+                    # Every residue reaches the bound, so the last k - 1
+                    # preorder vertices are cut as singletons: the peel of
+                    # the whole vertex set.
+                    assert classes is not None
+                    peeled = split_off_singletons(g, (frozenset(range(g.n)),), k - 1)
+                    assert sort_classes(g, classes) == sort_classes(g, peeled)
                 if classes is not None:
                     assert validate(g, classes, k) == []
                     assert min(g.weight(c) for c in classes) >= bound
