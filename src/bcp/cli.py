@@ -51,7 +51,8 @@ BENCH_COLUMNS = (
 
 @dataclass
 class RunReport:
-    """One solver run; iterations counts min-max moves or FPT search nodes."""
+    """One solver run; classes in `sort_classes` order, iterations counts
+    min-max moves or FPT search nodes."""
 
     value: int
     classes: Partition
@@ -110,14 +111,14 @@ def _load_graph(path: str) -> WeightedGraph:
 
 
 def _print_run(
-    g: WeightedGraph, report: RunReport, head: Sequence[str],
+    report: RunReport, head: Sequence[str],
     after_certificate: Sequence[str] = (), after_partition: Sequence[str] = (),
 ) -> None:
     """Print one solve: header, value, certificate, the command's own lines,
-    the classes one a line in `sort_classes` order, its counters, the time."""
+    the classes one a line in the report's order, its counters, the time."""
     lines = [*head, f"value: {report.value}", f"certificate: {report.certificate}"]
     lines += [*after_certificate, "partition:"]
-    lines += (" ".join(map(str, sorted(c))) for c in sort_classes(g, report.classes))
+    lines += (" ".join(map(str, sorted(c))) for c in report.classes)
     lines += [*after_partition, f"time-ms: {report.wall_ms:.1f}"]
     print("\n".join(lines))
 
@@ -130,9 +131,9 @@ def _run(
     cover: list[int] | None = None,
 ) -> RunReport:
     """Run one of ALGORITHMS under the BCP_BUDGET_SECONDS budget and time
-    the solver call.  A min-max solve is bounded by the average weight, or
-    by a star certificate's cut-vertex bound when it meets the value; an
-    exact solve by its own value."""
+    the solver call.  A min-max solve is scaled when epsilon is given, and
+    bounded by the average weight, or by a star certificate's cut-vertex
+    bound when it meets the value; an exact solve by its own value."""
     max_seconds = _budget_seconds()
     if algorithm in ("minmax-bcpk", "eps-minmax-bcpk") and k == 2:
         raise InputError(
@@ -140,23 +141,22 @@ def _run(
             "use 'exact' or 'fpt-maxmin'"
         )
     start = time.perf_counter()
-    if algorithm == "minmax-bcpk":
-        result = minmax_bcpk(g, k)
-    elif algorithm == "eps-minmax-bcpk":
-        result = eps_minmax_bcpk(g, k, epsilon)
-    elif algorithm == "fpt-maxmin":
-        fpt = solve_fpt_maxmin(g, k, cover, max_seconds=max_seconds)
-    else:
-        exact = exact_minmax if algorithm == "exact-minmax" else exact_maxmin
-        value, classes = exact(g, k, max_seconds)
-    wall_ms = (time.perf_counter() - start) * 1000
     if algorithm == "fpt-maxmin":
+        fpt = solve_fpt_maxmin(g, k, cover, max_seconds=max_seconds)
+        wall_ms = (time.perf_counter() - start) * 1000
         return RunReport(
             fpt.value, fpt.classes, "optimal", "oracle", Fraction(fpt.value),
             wall_ms, fpt.nodes, fpt.cuts_added, fpt.model,
         )
     if algorithm.startswith("exact-"):
-        return RunReport(value, classes, "optimal", "oracle", Fraction(value), wall_ms)
+        exact = exact_minmax if algorithm == "exact-minmax" else exact_maxmin
+        value, classes = exact(g, k, max_seconds)
+        wall_ms = (time.perf_counter() - start) * 1000
+        return RunReport(
+            value, sort_classes(g, classes), "optimal", "oracle", Fraction(value), wall_ms
+        )
+    result = minmax_bcpk(g, k) if epsilon is None else eps_minmax_bcpk(g, k, epsilon)
+    wall_ms = (time.perf_counter() - start) * 1000
     value = w_plus(g, result.classes)
     bound_kind = "average"
     bound: Fraction = average_weight_bound(g, k)
@@ -181,7 +181,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if epsilon is not None:
         head.append(f"epsilon: {epsilon}")
     ratio = Fraction(report.value) / report.bound
-    _print_run(g, report, head, [
+    _print_run(report, head, [
         f"bound ({report.bound_kind}): {report.bound}",
         f"ratio: {ratio.numerator}/{ratio.denominator} ({float(ratio):.6f})",
     ], [f"iterations: {report.iterations}"])
@@ -192,7 +192,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     g = _load_graph(args.instance)
     report = _run(g, args.k, f"exact-{args.objective}")
     head = f"instance: {args.instance} (n={g.n}, m={g.m}, W={g.total_weight})"
-    _print_run(g, report, [head, f"objective: {args.objective}", f"k: {args.k}"])
+    _print_run(report, [head, f"objective: {args.objective}", f"k: {args.k}"])
     return 0
 
 
@@ -207,7 +207,7 @@ def _cmd_fpt_maxmin(args: argparse.Namespace) -> int:
     if args.dump_model:
         _refuse_unwritable(args.dump_model)
     report = _run(g, args.k, "fpt-maxmin", cover=cover)
-    _print_run(g, report, [
+    _print_run(report, [
         f"instance: {args.instance} (n={g.n}, m={g.m})", "objective: maxmin (unweighted)",
         f"k: {args.k}", f"cover: {' '.join(map(str, report.model.dec.cover))}",
     ], after_partition=[f"nodes: {report.iterations}", f"cuts: {report.cuts}"])

@@ -564,11 +564,9 @@ def solve_fpt_maxmin(
         nodes += 1
         if nodes % 256 == 0:
             _check_deadline(deadline)
-        if best_value >= cap_value:
-            return
-        if used + (len(xs) - pos) < k:
-            return
-        if used and upper_bound(pos, used) <= best_value:
+        # upper_bound starts from the cap, so this also ends the search once
+        # best_value reaches it.
+        if used + (len(xs) - pos) < k or upper_bound(pos, used) <= best_value:
             return
         if pos == len(xs):
             leaf()

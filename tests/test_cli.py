@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import bcp.graph
 from bcp.cli import run_cli
 from bcp.errors import InternalError
 from bcp.instances import generate, parse_instance, write_instance
+from bcp.partition import sort_classes
 
 from .conftest import connected_graphs, grid_graph, path_graph, star_graph
 
@@ -230,6 +232,28 @@ class TestFptMaxmin:
         inst = tmp_path / "w.bcp"
         inst.write_text(write_instance(path_graph(4, [1, 2, 1, 1])))
         assert run_cli(["fpt-maxmin", str(inst), "--k", "2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "algorithm, k, epsilon",
+    [
+        ("minmax-bcpk", 3, None),
+        ("eps-minmax-bcpk", 3, Fraction(1, 2)),
+        ("exact-minmax", 2, None),
+        ("exact-maxmin", 2, None),
+        ("fpt-maxmin", 2, None),
+    ],
+)
+def test_every_run_report_holds_sort_classes_order(algorithm, k, epsilon):
+    """On the path 5-1-1-1 at k=2 both oracles' witness is ({0}, {1, 2, 3}),
+    heaviest first; the report holds it lightest first, as it is printed.
+    fpt-maxmin reads the same path at unit weights."""
+    weights = None if algorithm == "fpt-maxmin" else [5, 1, 1, 1]
+    g = path_graph(4, weights)
+    report = bcp.cli._run(g, k, algorithm, epsilon)
+    assert report.classes == sort_classes(g, report.classes)
+    if algorithm.startswith("exact-"):
+        assert report.classes == (frozenset({1, 2, 3}), frozenset({0}))
 
 
 class TestGenValidate:

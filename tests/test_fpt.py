@@ -761,6 +761,20 @@ def test_each_kind_of_leaf_is_refuted_once(monkeypatch):
     assert len(calls) == 321
 
 
+@pytest.mark.parametrize(
+    "m, seed, k, pinned", [(8, 5, 3, (5, 707, 56)), (8, 3, 4, (4, 2435, 147))]
+)
+def test_search_that_reaches_the_cap_stops_on_its_bound(m, seed, k, pinned):
+    """The DFS-tree split misses n // k on these relabelled ladders, so the
+    search runs until a witness reaches the cap; from then on `upper_bound`,
+    which starts from the cap, cuts every node.  Value, nodes and cuts are
+    those of the search that also tested the cap directly."""
+    g, cover = scrambled_ladder(m, seed)
+    result = solve_fpt_maxmin(g, k, cover)
+    assert result.value == g.n // k
+    assert (result.value, result.nodes, result.cuts_added) == pinned
+
+
 def test_all_oracle_encodings_satisfy_fired_cuts():
     g = hub_graph()
     result = solve_fpt_maxmin(g, 2, [1, 2, 5])

@@ -548,6 +548,14 @@ def test_drifted_record_caught_once_per_solve(monkeypatch, fault):
         minmax_bcpk(generate("spider", 300), 3)
 
 
+def test_move_that_keeps_the_heaviest_weight_is_an_internal_error(monkeypatch):
+    """A merge that returns its input state applies but lowers nothing; the
+    loop stops at once instead of counting it as a move."""
+    monkeypatch.setattr(bcp.minmax, "merge", lambda g, state: state)
+    with pytest.raises(InternalError, match="heaviest class weight did not decrease"):
+        minmax_bcpk(path_graph(7), 3)
+
+
 def _random_heavy_3partition(g, rng):
     """A connected 3-partition grown from three random seeds, the third
     growing fastest, in `sort_classes` order; None unless its heaviest class

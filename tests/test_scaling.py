@@ -1,14 +1,16 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 
 from bcp.errors import InputError
+from bcp.fpt import solve_fpt_maxmin
 from bcp.graph import WeightedGraph
-from bcp.instances import generate
+from bcp.instances import FAMILIES, generate
 from bcp.minmax import Certificate, minmax_bcpk
-from bcp.oracle import exact_minmax
+from bcp.oracle import exact_maxmin, exact_minmax
 from bcp.partition import sort_classes, validate, w_plus
 from bcp.scaling import eps_minmax_bcpk, scale
 
@@ -132,3 +134,38 @@ def test_eps_ratio_against_oracle(g):
             assert 2 * w_plus(g, result.classes) <= g.total_weight
         assert result.star is None
 
+
+def test_multiplying_every_weight_by_c_multiplies_only_the_value():
+    """Every decision of the solvers compares weights, so multiplying each
+    weight by c keeps the min-max loop's classes, certificate and moves, the
+    scaled loop's classes and certificate, the oracles' witnesses and, at
+    uniform weight c, the FPT search's classes, nodes and cuts; exact values
+    scale by c.  No optimum is needed, so this runs up to n = 400."""
+    searched = 0
+    for family, n, weight_range in product(FAMILIES, (9, 16, 80, 400), ((1, 1), (1, 9), (1, 1000))):
+        g = generate(family, n, weight_range, 1)
+        for k in (3, 5, 16):
+            if k > n:
+                continue
+            plain = minmax_bcpk(g, k)
+            eps = eps_minmax_bcpk(g, k, Fraction(1, 2))
+            exact = [exact_minmax(g, k), exact_maxmin(g, k)] if n <= 10 else []
+            fpt = solve_fpt_maxmin(g, k) if n <= 16 and weight_range == (1, 1) else None
+            for c in (2, 7):
+                h = g.with_weights([c * w for w in g.weights])
+                got = minmax_bcpk(h, k)
+                assert (got.classes, got.certificate, got.iterations) == (
+                    plain.classes, plain.certificate, plain.iterations
+                )
+                got = eps_minmax_bcpk(h, k, Fraction(1, 2))
+                assert (got.classes, got.certificate) == (eps.classes, eps.certificate)
+                for (value, witness), solve in zip(exact, (exact_minmax, exact_maxmin)):
+                    assert solve(h, k) == (c * value, witness)
+                if fpt is not None:
+                    got = solve_fpt_maxmin(h, k)
+                    assert (got.value, got.classes, got.nodes, got.cuts_added) == (
+                        c * fpt.value, fpt.classes, fpt.nodes, fpt.cuts_added
+                    )
+                    searched += got.nodes > 0
+    # The relation also covers FPT solves that search, not only tree splits.
+    assert searched >= 6
