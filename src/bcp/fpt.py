@@ -12,11 +12,12 @@ it to an ILP in few variables (Lenstra).  Connectivity is enforced lazily:
 a class that the masks and counts leave disconnected adds a cut over a
 separator Z and hyperedges F of the component hypergraph H_Z to a growing
 pool, in the search's form (masks of {u, v} and of Z, F's group indices),
-and the leaf distributes again, branching on the first binding cut the
-flow leaves unmet.  The pool never excludes the encoding of a real
-connected partition, so the search is exact.  Vertex ids return only when
-the pool is rendered and when the best candidate is decoded, once, as the
-search ends.
+and the leaf distributes again, branching on the unmet binding cut with
+the fewest groups; a cut repeating or containing another of its class is
+never picked first and is met once that one is, so none is pruned.  The
+pool never excludes the encoding of a real connected partition, so the
+search is exact.  Vertex ids return only when the pool is rendered and
+when the best candidate is decoded, once, as the search ends.
 
 Two shortcuts keep the search from proving a fact twice.  No lightest
 class beats n // k vertices, nor one vertex when k exceeds the cover size,
@@ -316,18 +317,6 @@ def _check_deadline(deadline: float | None) -> None:
         raise BudgetExceeded("max-min solve time budget exceeded")
 
 
-def _tightest_covers(covers: list[tuple[int, list[int]]]) -> list[tuple[int, list[int]]]:
-    """The covers in first-seen order, without repeats and without any cover
-    whose group set strictly contains another's for the same class: one unit
-    meeting the smaller set meets the larger."""
-    unique = list(dict.fromkeys((i, frozenset(groups)) for i, groups in covers))
-    return [
-        (i, sorted(groups))
-        for i, groups in unique
-        if not any(c == i and other < groups for c, other in unique)
-    ]
-
-
 def _best_transport(
     supplies: list[int],
     bases: list[int],
@@ -370,22 +359,23 @@ def _distribute(
     assignment, when it beats floor.
 
     covers lists (class, eligible group indices) pairs from the active pool
-    cuts, each requiring at least one unit.  Branch-and-bound: a node solves
-    the transport without the covers, its forced units taken from supply and
-    added to the bases, by binary search over (floor, cap_value]; that value
-    bounds the node's subtree.  If the flow plus the forced units meets every
-    cover it is the node's answer; otherwise the node branches on the first
-    unmet cover, forcing one unit from each of its groups with supply left
-    in ascending order, raising the floor to the best value found, and stops
-    once a branch reaches the bound.  Returns the best (value, allocation),
-    leftover units handed to the smallest eligible classes, or None when
-    nothing strictly beats floor (with floor -1, when the covers are
-    unsatisfiable); raises BudgetExceeded once time.monotonic() reaches the
-    deadline.
+    cuts, each requiring at least one unit, repeats and implied ones included.
+    Branch-and-bound: a node solves the transport without the covers, its
+    forced units taken from supply and added to the bases, by binary search
+    over (floor, cap_value]; that value bounds the node's subtree.  If the
+    flow plus the forced units meets every cover it is the node's answer;
+    otherwise the node branches on the unmet cover with the fewest groups, the
+    earliest on a tie (never a repeat or a strict superset of an unmet cover
+    of its class, met whenever that one is), forcing one unit from each of its
+    groups with supply left in list order, raising the floor to the best value
+    found, and stops once a branch reaches the bound.  Returns the best
+    (value, allocation), leftover units handed to the smallest eligible
+    classes, or None when nothing strictly beats floor (with floor -1, when
+    the covers are unsatisfiable); raises BudgetExceeded once time.monotonic()
+    reaches the deadline.
     """
     k = len(bases)
     m = len(counts)
-    covers = _tightest_covers(covers)
     forced = [[0] * k for _ in range(m)]
 
     def node(floor: int) -> tuple[int, list[list[int]]] | None:
@@ -397,9 +387,10 @@ def _distribute(
             return None
         bound, flow = relaxed
         alloc = [[f + u for f, u in zip(fs, us)] for fs, us in zip(forced, flow)]
-        unmet = next(
+        unmet = min(
             ((i, groups) for i, groups in covers if not any(alloc[j][i] for j in groups)),
-            None,
+            key=lambda cover: len(cover[1]),
+            default=None,
         )
         if unmet is None:
             return bound, alloc

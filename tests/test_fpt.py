@@ -486,9 +486,10 @@ class TestDistribute:
         assert _distribute(counts, elig, bases, [], 5, 3)[0] == 4
 
     def test_matches_product_reference(self):
-        """Branching on the first unmet cover finds the same optimum as
+        """Branching on the smallest unmet cover finds the same optimum as
         trying every choice of provider per cover, and its allocation is a
-        valid one of that value."""
+        valid one of that value, also where covers repeat or imply one
+        another and reach the distribution unpruned."""
         rng = random.Random(0xD15)
         seen = Counter(dict.fromkeys(["unsatisfiable", "covers", "implied cover", "thin group"], 0))
         for _ in range(1500):
@@ -524,9 +525,36 @@ class TestDistribute:
             beat = _distribute(counts, elig, bases, covers, cap, floor)
             assert (beat[0] if beat else None) == (value if value > floor else None)
             seen["covers"] += bool(covers)
-            seen["implied cover"] += len(covers) > len(bcp.fpt._tightest_covers(covers))
+            seen["implied cover"] += any(
+                a != b and i == c and set(groups) <= set(other)
+                for a, (i, groups) in enumerate(covers)
+                for b, (c, other) in enumerate(covers)
+            )
             seen["thin group"] += 0 in counts or 1 in counts
         assert min(seen.values()) >= 100, seen
+
+    def test_branches_on_the_smallest_unmet_cover(self, monkeypatch):
+        """The root's one probe (cap_value is floor + 1) leaves both covers of
+        class 1 unmet; the first forced unit, read off the second probe's
+        supplies, comes from the one-group cover though it is listed second.
+        A superset listed before its subset costs no probe beyond the subset
+        alone; taking the first unmet cover would spend one more."""
+        calls = []
+
+        def recording(supplies, demands, elig):
+            calls.append(tuple(supplies))
+            return _max_flow(supplies, demands, elig)
+
+        monkeypatch.setattr(bcp.fpt, "_max_flow", recording)
+        counts, elig, bases = [1, 1, 1], [[0, 1]] * 3, [0, 5]
+        assert _distribute(counts, elig, bases, [(1, [0, 1]), (1, [2])], 1, 0)[0] == 1
+        assert calls[:2] == [(1, 1, 1), (1, 1, 0)]
+        probes = []
+        for covers in ([(1, [0, 1, 2]), (1, [2])], [(1, [2])]):
+            calls.clear()
+            assert _distribute(counts, elig, bases, covers, 1, 0)[0] == 1
+            probes.append(len(calls))
+        assert probes[0] <= probes[1]
 
 
 def _cover_graph(rng, c, stable, groups):
@@ -762,7 +790,7 @@ def test_each_kind_of_leaf_is_refuted_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "m, seed, k, pinned", [(8, 5, 3, (5, 707, 56)), (8, 3, 4, (4, 2435, 147))]
+    "m, seed, k, pinned", [(8, 5, 3, (5, 707, 56)), (8, 3, 4, (4, 2435, 145))]
 )
 def test_search_that_reaches_the_cap_stops_on_its_bound(m, seed, k, pinned):
     """The DFS-tree split misses n // k on these relabelled ladders, so the
@@ -773,6 +801,31 @@ def test_search_that_reaches_the_cap_stops_on_its_bound(m, seed, k, pinned):
     result = solve_fpt_maxmin(g, k, cover)
     assert result.value == g.n // k
     assert (result.value, result.nodes, result.cuts_added) == pinned
+
+
+def test_relabelled_ladders_pin_value_and_nodes():
+    """Of the relabelled ladders 2x8-2x10 at seeds 0-5 and k 3-4, these run
+    a search; every other one is settled by the DFS-tree split at n // k.
+    Value and node count do not depend on which optimal allocation the
+    distribution returns, so they are pinned and the cut counts are not."""
+    searched = {}
+    for m, seed, k in product(range(8, 11), range(6), (3, 4)):
+        g, cover = scrambled_ladder(m, seed)
+        result = solve_fpt_maxmin(g, k, cover)
+        assert validate(g, result.classes, k) == []
+        if result.nodes:
+            searched[m, seed, k] = (result.value, result.nodes)
+        else:
+            assert result.value == g.n // k
+    assert searched == {
+        (8, 0, 4): (4, 1210),
+        (8, 3, 4): (4, 2435),
+        (8, 4, 4): (4, 2435),
+        (8, 5, 3): (5, 707),
+        (9, 5, 3): (6, 1444),
+        (10, 0, 4): (5, 25887),
+        (10, 1, 4): (5, 4915),
+    }
 
 
 def test_all_oracle_encodings_satisfy_fired_cuts():
