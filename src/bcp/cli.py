@@ -5,7 +5,8 @@ oracle), fpt-maxmin (vertex-cover-parameterized exact solver), gen
 (instance generator), validate (partition checker) and bench (CSV harness).
 
 Exit codes: 0 success, 1 output pipe closed early, 2 input error (a file
-that cannot be read, decoded or written included), 3 budget exceeded.
+that cannot be read, decoded or written included), 3 budget exceeded,
+4 internal error (a solver broke its own invariant: a bug, not bad input).
 The environment variable BCP_BUDGET_SECONDS caps oracle and fpt-maxmin
 run time per instance; every solving command rejects a malformed value.
 """
@@ -25,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .errors import BudgetExceeded, ContractViolation, InputError, ParseError
+from .errors import BudgetExceeded, ContractViolation, InputError, InternalError, ParseError
 from .fpt import FptModel, solve_fpt_maxmin
 from .graph import WeightedGraph
 from .instances import FAMILIES, generate, parse_instance, parse_rational, write_instance
@@ -380,6 +381,9 @@ def run_cli(argv: Sequence[str]) -> int:
     except (InputError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

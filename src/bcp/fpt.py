@@ -217,12 +217,11 @@ def separate(
 def reconstruct(
     dec: VertexCoverDecomposition, class_masks: Sequence[int], alloc: Sequence[Sequence[int]]
 ) -> Partition:
-    """The connected partition of a cover assignment and allocation, read as
-    by `separate`, in `sort_classes` order ((size, min id) under uniform
-    weights): class i takes the alloc[j][i] lowest-id members of I(S) that
-    the classes before it left.  Counts that do not hand out exactly each
-    group raise, and so does a class `partition.validate` finds disconnected:
-    separation was incomplete."""
+    """The partition of a cover assignment and allocation, read as by
+    `separate`, its classes in index order: class i takes the alloc[j][i]
+    lowest-id members of I(S) that the classes before it left.  Counts that
+    do not hand out exactly each group raise ContractViolation; whether the
+    classes are connected is for `solve_fpt_maxmin`'s one check to say."""
     groups = dec.classes_by_neighborhood
     if len(alloc) != len(groups):
         raise ContractViolation("counts must name exactly the neighborhood classes")
@@ -236,10 +235,7 @@ def reconstruct(
         for c, cnt in zip(decoded, counts):
             c.update(members[at : at + cnt])
             at += cnt
-    report = validate(dec.graph, decoded, len(decoded))
-    if report:
-        raise ContractViolation("decoded partition is not connected: " + "; ".join(report))
-    return sort_classes(dec.graph, map(frozenset, decoded))
+    return tuple(map(frozenset, decoded))
 
 
 def _max_flow(
@@ -446,14 +442,15 @@ def solve_fpt_maxmin(
     the lightest class's count times the common weight.  The count is at
     most the cap: n // k, or 1 with k exceeding the cover size.  When k
     exceeds the cover size or the cap is at least 2, and a split of G's DFS
-    tree reaches the cap, that split is returned, validated, with nodes 0
-    and no cuts.
+    tree reaches the cap, that split is the answer, with nodes 0 and no cuts.
     Otherwise cover vertices are assigned to classes depth-first (new
     classes opened in index order to break symmetry) and each complete
     assignment is finished by the exact count distribution, with lazy
     connectivity cuts repairing disconnected candidates; a leaf of a kind
     whose transport without covers already failed is skipped, which
-    changes no node count, cut or witness.
+    changes no node count, cut or witness.  The best leaf is decoded once.
+    Either answer is validated once, an InternalError unless it is a
+    connected k-partition, and returned in `sort_classes` order.
     """
     if len(set(g.weights)) > 1:
         raise InputError("max-min solver handles uniform weights only")
@@ -474,103 +471,103 @@ def solve_fpt_maxmin(
     # or more, so it holds an edge and hence a cover vertex: the shape of
     # every search witness.
     cap_value = g.n // k if k <= len(xs) else 1
+    count, nodes = cap_value, 0
+    classes = None
     if cap_value >= 2 or k > len(xs):
-        split = split_at_least(g, k, cap_value * g.weights[0])
-        if split is not None:
-            report = validate(g, split, k)
-            if report:
-                raise InternalError("tree split is not a connected partition: " + "; ".join(report))
-            return FptResult(
-                value=cap_value * g.weights[0], classes=sort_classes(g, split), model=model, nodes=0
-            )
+        classes = split_at_least(g, k, cap_value * g.weights[0])
+    if classes is None:
+        counts = [len(members) for members in dec.classes_by_neighborhood.values()]
+        set_masks = dec.set_masks
 
-    counts = [len(members) for members in dec.classes_by_neighborhood.values()]
-    set_masks = dec.set_masks
+        best_value = 0
+        best: tuple[list[int], list[list[int]]] | None = None  # (class masks, allocation)
+        # Cover positions by class; the first `used` classes are open.
+        class_masks = [0] * k
 
-    best_value = 0
-    best: tuple[list[int], list[list[int]]] | None = None  # (class masks, allocation)
-    nodes = 0
-    # Cover positions by class; the first `used` classes are open.
-    class_masks = [0] * k
+        # Memo of the stable units that can attach to a class reaching a mask of
+        # cover positions: counts and set_masks are fixed for the solve, so each
+        # of at most 2^|X| masks is summed once.
+        attach = functools.cache(
+            lambda reach: sum(c for c, sm in zip(counts, set_masks) if sm & reach)
+        )
+        # A leaf's kind: the multiset of its classes' (size, mask of the groups
+        # whose S meets the class).  The transport without covers sees only
+        # that, up to relabelling the classes, and must beat best_value, which
+        # only rises; so a kind it once refutes stays refuted.
+        groups_of = functools.cache(
+            lambda cm: sum(1 << j for j, sm in enumerate(set_masks) if sm & cm)
+        )
+        refuted: set[tuple[tuple[int, int], ...]] = set()
 
-    # Memo of the stable units that can attach to a class reaching a mask of
-    # cover positions: counts and set_masks are fixed for the solve, so each
-    # of at most 2^|X| masks is summed once.
-    attach = functools.cache(lambda reach: sum(c for c, sm in zip(counts, set_masks) if sm & reach))
-    # A leaf's kind: the multiset of its classes' (size, mask of the groups
-    # whose S meets the class).  The transport without covers sees only
-    # that, up to relabelling the classes, and must beat best_value, which
-    # only rises; so a kind it once refutes stays refuted.
-    groups_of = functools.cache(lambda cm: sum(1 << j for j, sm in enumerate(set_masks) if sm & cm))
-    refuted: set[tuple[tuple[int, int], ...]] = set()
+        def upper_bound(pos: int, used: int) -> int:
+            rem = (1 << len(xs)) - (1 << pos)
+            remaining = len(xs) - pos
+            ub = cap_value
+            for cm in class_masks[:used]:
+                ub = min(ub, cm.bit_count() + remaining + attach(cm | rem))
+            return ub
 
-    def upper_bound(pos: int, used: int) -> int:
-        rem = (1 << len(xs)) - (1 << pos)
-        remaining = len(xs) - pos
-        ub = cap_value
-        for cm in class_masks[:used]:
-            ub = min(ub, cm.bit_count() + remaining + attach(cm | rem))
-        return ub
-
-    def leaf() -> None:
-        nonlocal best_value, best
-        bases = [cm.bit_count() for cm in class_masks]
-        kind = tuple(sorted(zip(bases, map(groups_of, class_masks))))
-        if kind in refuted:
-            return
-        elig = [
-            [i for i in range(k) if sm & class_masks[i]] for sm in set_masks
-        ]
-        # Covers of the pooled cuts that bind here (u and v in class i, no
-        # vertex of Z there), then of each pass's fresh cuts, which are
-        # violated and so bind.
-        binding = model.cuts
-        covers = []
-        while True:
-            for i, need, avoid, groups in binding:
-                cm = class_masks[i]
-                if cm & (need | avoid) != need:
-                    continue
-                cover = [j for j in groups if set_masks[j] & cm]
-                if not cover:
+        def leaf() -> None:
+            nonlocal best_value, best
+            bases = [cm.bit_count() for cm in class_masks]
+            kind = tuple(sorted(zip(bases, map(groups_of, class_masks))))
+            if kind in refuted:
+                return
+            elig = [
+                [i for i in range(k) if sm & class_masks[i]] for sm in set_masks
+            ]
+            # Covers of the pooled cuts that bind here (u and v in class i, no
+            # vertex of Z there), then of each pass's fresh cuts, which are
+            # violated and so bind.
+            binding = model.cuts
+            covers = []
+            while True:
+                for i, need, avoid, groups in binding:
+                    cm = class_masks[i]
+                    if cm & (need | avoid) != need:
+                        continue
+                    cover = [j for j in groups if set_masks[j] & cm]
+                    if not cover:
+                        return
+                    covers.append((i, cover))
+                res = _distribute(counts, elig, bases, covers, cap_value, best_value, deadline)
+                if res is None:
+                    if not covers:
+                        refuted.add(kind)
                     return
-                covers.append((i, cover))
-            res = _distribute(counts, elig, bases, covers, cap_value, best_value, deadline)
-            if res is None:
-                if not covers:
-                    refuted.add(kind)
-                return
-            value, alloc = res
-            cuts = separate(dec, class_masks, alloc)
-            if not cuts:
-                best_value, best = value, (class_masks[:], alloc)
-                return
-            if any(cut in model.cuts for cut in cuts):
-                raise InternalError("separation repeated a pooled cut")
-            model.cuts += cuts
-            binding = cuts
+                value, alloc = res
+                cuts = separate(dec, class_masks, alloc)
+                if not cuts:
+                    best_value, best = value, (class_masks[:], alloc)
+                    return
+                if any(cut in model.cuts for cut in cuts):
+                    raise InternalError("separation repeated a pooled cut")
+                model.cuts += cuts
+                binding = cuts
 
-    def dfs(pos: int, used: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes % 256 == 0:
-            _check_deadline(deadline)
-        # upper_bound starts from the cap, so this also ends the search once
-        # best_value reaches it.
-        if used + (len(xs) - pos) < k or upper_bound(pos, used) <= best_value:
-            return
-        if pos == len(xs):
-            leaf()
-            return
-        bit = 1 << pos
-        for c in range(min(used + 1, k)):
-            class_masks[c] |= bit
-            dfs(pos + 1, used + (1 if c == used else 0))
-            class_masks[c] &= ~bit
+        def dfs(pos: int, used: int) -> None:
+            nonlocal nodes
+            nodes += 1
+            if nodes % 256 == 0:
+                _check_deadline(deadline)
+            # upper_bound starts from the cap, so this also ends the search once
+            # best_value reaches it.
+            if used + (len(xs) - pos) < k or upper_bound(pos, used) <= best_value:
+                return
+            if pos == len(xs):
+                leaf()
+                return
+            bit = 1 << pos
+            for c in range(min(used + 1, k)):
+                class_masks[c] |= bit
+                dfs(pos + 1, used + (1 if c == used else 0))
+                class_masks[c] &= ~bit
 
-    dfs(0, 0)
-    if best is None:
-        raise InternalError("search found no connected partition")
-    return FptResult(
-        value=best_value * g.weights[0], classes=reconstruct(dec, *best), model=model, nodes=nodes
-    )
+        dfs(0, 0)
+        if best is None:
+            raise InternalError("search found no connected partition")
+        count, classes = best_value, reconstruct(dec, *best)
+    report = validate(g, classes, k)
+    if report:
+        raise InternalError("answer is not a connected partition: " + "; ".join(report))
+    return FptResult(count * g.weights[0], sort_classes(g, classes), model, nodes)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,9 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bcp.cli
+import bcp.fpt
 import bcp.graph
+import bcp.minmax
 from bcp.cli import run_cli
-from bcp.errors import InternalError
 from bcp.instances import generate, parse_instance, write_instance
 from bcp.partition import sort_classes
 
@@ -82,9 +84,12 @@ class TestSolve:
             monkeypatch.setattr(
                 "bcp.minmax.split_off_singletons", lambda g, p, q, classes=classes: classes
             )
-            with pytest.raises(InternalError, match=match):
-                run_cli(["solve", instance, "--k", str(k), *extra])
-            assert "partition:" not in capsys.readouterr().out
+            assert run_cli(["solve", instance, "--k", str(k), *extra]) == 4
+            out, err = capsys.readouterr()
+            assert "partition:" not in out
+            [line] = err.splitlines()
+            assert line.startswith("internal error: minmax_bcpk() built an invalid partition: ")
+            assert re.search(match, line)
 
     def test_star_solve_walks_g_minus_u_once(self, tmp_path, capsys, monkeypatch):
         # The star certificate walks G - u once; the cut-vertex bound and the
@@ -520,6 +525,44 @@ def test_output_pipe_closed_early_is_exit_1_without_traceback(tmp_path):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert err == b""
+
+
+def _tree_split_fault(monkeypatch):
+    broken = [frozenset({0}), frozenset({1, 2}), frozenset({3, 4})]
+    monkeypatch.setattr(bcp.fpt, "split_at_least", lambda g, k, bound: broken)
+    return star_graph(5), ["fpt-maxmin", "--k", "3", "--cover", "0"]
+
+
+def _search_witness_fault(monkeypatch):
+    monkeypatch.setattr(bcp.fpt, "separate", lambda dec, class_masks, alloc: [])
+    return generate("random-tree", 20, (1, 1), 2), ["fpt-maxmin", "--k", "3"]
+
+
+def _min_max_move_fault(monkeypatch):
+    monkeypatch.setattr(bcp.minmax, "merge", lambda g, state: state)
+    return path_graph(7), ["solve", "--k", "3"]
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_tree_split_fault, r"answer is not a connected partition: class 1 \(\[1, 2\]\)"),
+        (_search_witness_fault, r"answer is not a connected partition: class 0 "),
+        (_min_max_move_fault, r"heaviest class weight did not decrease$"),
+    ],
+    ids=["tree-split", "search-witness", "min-max-move"],
+)
+def test_solver_fault_is_exit_4_with_one_line(fault, message, tmp_path, capsys, monkeypatch):
+    """A broken solver invariant is a bug, not bad input: exit 4 with one
+    `internal error:` line on stderr and no partition printed."""
+    g, argv = fault(monkeypatch)
+    instance = tmp_path / "g.bcp"
+    instance.write_text(write_instance(g))
+    assert run_cli([argv[0], str(instance), *argv[1:]]) == 4
+    out, err = capsys.readouterr()
+    assert "partition:" not in out
+    [line] = err.splitlines()
+    assert re.match("internal error: " + message, line)
 
 
 def test_no_command_is_exit_2():

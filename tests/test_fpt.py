@@ -20,6 +20,7 @@ from bcp.fpt import (
     solve_fpt_maxmin,
 )
 from bcp.graph import WeightedGraph
+from bcp.instances import generate
 from bcp.oracle import enumerate_connected_kpartitions, exact_maxmin
 from bcp.partition import validate
 
@@ -37,6 +38,11 @@ from .reference import (
     model_order,
     reach_hyperedges,
 )
+
+
+# The one message of a solver answer that is not a connected k-partition,
+# whether it came from the tree split or from the search.
+NOT_CONNECTED = r"^answer is not a connected partition: class \d+ \(\[.*\]\) is disconnected"
 
 
 def fs(*vs):
@@ -225,27 +231,31 @@ class TestReconstruct:
         with pytest.raises(ContractViolation):
             reconstruct(dec, [0b01, 0b10], [[1, 0]])
 
-    def test_disconnected_decode_rejected(self):
+    def test_disconnected_decode_returned_in_class_order(self):
+        # Class 0 = {1, 3, 0, 4} is disconnected.  Decoding checks counts
+        # only; connectivity is the solver's one check (TestSolve's
+        # disconnected-answer tests).
         dec = decompose(path_graph(5), [1, 3])
-        with pytest.raises(ContractViolation, match="is not connected"):
-            reconstruct(dec, [0b11, 0], [[1, 0], [0, 1], [1, 0]])
+        assert reconstruct(dec, [0b11, 0], [[1, 0], [0, 1], [1, 0]]) == (fs(0, 1, 3, 4), fs(2))
 
     @pytest.mark.parametrize(
-        "class_masks, alloc",
+        "class_masks, alloc, classes",
         [
             # Class 1 = {0, 4}: two stable vertices and no cover vertex.
-            ([0b11, 0], [[0, 1], [1, 0], [0, 1]]),
+            ([0b11, 0], [[0, 1], [1, 0], [0, 1]], (fs(1, 2, 3), fs(0, 4))),
             # Class 0 = {1, 0, 4}: 4 is cut off from the only cover vertex.
-            ([0b01, 0b10], [[1, 0], [0, 1], [1, 0]]),
+            ([0b01, 0b10], [[1, 0], [0, 1], [1, 0]], (fs(0, 1, 4), fs(2, 3))),
         ],
         ids=["pair", "cut"],
     )
-    def test_disconnected_class_without_a_second_cover_vertex_rejected(self, class_masks, alloc):
+    def test_disconnected_class_without_a_second_cover_vertex_decoded(
+        self, class_masks, alloc, classes
+    ):
         # The search never builds these (a unit goes only to a class holding
-        # a vertex of its S), so separate does not look for them.
+        # a vertex of its S), so separate does not look for them, and
+        # reconstruct decodes them as given.
         dec = decompose(path_graph(5), [1, 3])
-        with pytest.raises(ContractViolation, match="is not connected"):
-            reconstruct(dec, class_masks, alloc)
+        assert reconstruct(dec, class_masks, alloc) == classes
 
     # separate reads the rows of the groups in the decomposition only, so
     # reconstruct is the one decoder that checks them.
@@ -359,8 +369,15 @@ class TestSolve:
     )
     def test_disconnected_tree_split_is_an_internal_error(self, monkeypatch, g, cover, k, broken):
         monkeypatch.setattr(bcp.fpt, "split_at_least", lambda g, k, bound: broken)
-        with pytest.raises(InternalError, match="tree split is not a connected partition"):
+        with pytest.raises(InternalError, match=NOT_CONNECTED):
             solve_fpt_maxmin(g, k, cover)
+
+    def test_disconnected_search_witness_is_an_internal_error(self, monkeypatch):
+        # With no cut ever found, the search keeps a disconnected witness;
+        # the check that catches a bad tree split catches it too.
+        monkeypatch.setattr(bcp.fpt, "separate", lambda dec, class_masks, alloc: [])
+        with pytest.raises(InternalError, match=NOT_CONNECTED):
+            solve_fpt_maxmin(generate("random-tree", 20, (1, 1), 2), 3)
 
     def test_witness_decoded_once(self, monkeypatch):
         # The search improves on this relabelled ladder 2x6 at k=3 three times.
