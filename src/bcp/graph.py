@@ -178,7 +178,8 @@ def is_connected(g: WeightedGraph, s: VertexSet) -> bool:
 def mask_reach(nbr: Sequence[int], within: int) -> int:
     """Bitmask flood fill: the bits of `within` reachable from its lowest bit
     through bits of `within`, where nbr[b] is the neighbour mask of bit b;
-    0 when `within` is 0."""
+    0 when `within` is 0.  `within` may carry bits at or above n, as the
+    oracle's unassigned mask -1 << v does: no neighbour mask reaches them."""
     seed = within & -within
     reach = seed
     frontier = seed

@@ -291,18 +291,22 @@ def minmax_bcpk(g: WeightedGraph, k: int) -> BcpkResult:
     """Connected k-partition with heaviest class at most (k/2) times the
     optimum.  A `StarOptimal` result is optimal when the center's class is
     the heaviest, so the cut-vertex bound equals the value; at k=3 a stall
-    above w(G)/2 is always optimal."""
+    above w(G)/2 is always optimal.  Past the k check, a step's
+    ContractViolation is the solver's own bug and raises InternalError."""
     if not 3 <= k <= g.n:
         raise ContractViolation(f"k must be in [3, {g.n}], got {k}")
-    p, iterations = _improvement_loop(g, initial_3partition(g))
-    total = g.total_weight
-    star = None
-    if 2 * w_plus(g, p) > total and len(p[2]) > 1:
-        found = star_center_certificate(g, p)
-        t = max(0, found.ell - k + 1)
-        p = (frozenset({found.u}).union(*found.comps[:t]),) + found.comps[t:]
-        star = found if len(p) == k else None
-    classes = split_off_singletons(g, p, k - len(p))
+    try:
+        p, iterations = _improvement_loop(g, initial_3partition(g))
+        total = g.total_weight
+        star = None
+        if 2 * w_plus(g, p) > total and len(p[2]) > 1:
+            found = star_center_certificate(g, p)
+            t = max(0, found.ell - k + 1)
+            p = (frozenset({found.u}).union(*found.comps[:t]),) + found.comps[t:]
+            star = found if len(p) == k else None
+        classes = split_off_singletons(g, p, k - len(p))
+    except ContractViolation as exc:
+        raise InternalError(f"minmax_bcpk() broke a step's contract: {exc}") from exc
     report = validate(g, classes, k)
     if report:
         raise InternalError("minmax_bcpk() built an invalid partition: " + "; ".join(report))

@@ -2,11 +2,12 @@
 
 Enumerates every connected k-partition exactly once (classes unordered) via
 restricted-growth assignment over vertices in id order, keeping only those
-whose every class weighs within a window [lo, hi].  One rule cuts a node:
-a class is heavier than hi; a closed class (no unassigned neighbour, so it
-never changes again) is lighter than lo or disconnected; or the unassigned
-weight is below the need, (k - opened)·lo plus what the open classes lack
-of lo, or above the room, (k - opened)·hi plus what they may still take up
+whose every class weighs within a window [lo, hi].  One rule cuts a node: a
+class is heavier than hi or cannot reach all its members from its smallest
+vertex through itself and the unassigned vertices; a closed class (no
+unassigned neighbour, so it never changes again) is lighter than lo; or the
+unassigned weight is below the need, (k - opened)·lo plus what the open classes
+lack of lo, or above the room, (k - opened)·hi plus what they may still take up
 to hi.  Enumeration runs the window [0, w(G)], which cuts no completion.
 
 The exact optima run the same search as a strict branch and bound from
@@ -67,13 +68,6 @@ def _search(
     # One (vertex mask, neighbour mask, weight) per class; vertex 0 opens one.
     classes: list[tuple[int, int, int]] = [(1, nbr[0], weight[0])]
 
-    known = bytearray(1 << n)  # per class mask: 0 not seen, 1 disconnected, 2 connected
-
-    def connected(m: int) -> bool:
-        if not known[m]:
-            known[m] = 1 + (mask_reach(nbr, m) == m)
-        return known[m] == 2
-
     def recurse(v: int) -> Iterator[tuple[tuple[int, ...], Partition]]:
         nonlocal yielded, ticks
         ticks += 1
@@ -84,20 +78,20 @@ def _search(
         lo, hi = window
         opened = len(classes)
         unassigned = -1 << v  # vertices v..n-1, as masks hold only bits below n
-        # The window rule of the module docstring; at a leaf every class is
-        # closed and need = room = 0.
+        # The rule of the module docstring: a closed class reaches only
+        # through itself; at a leaf every class is closed, need = room = 0.
         need = (k - opened) * lo
         room = (k - opened) * hi
         left = g.total_weight  # less every class below: the unassigned weight
         for m, nb, wc in classes:
-            if wc > hi:
+            if wc > hi or mask_reach(nbr, m | unassigned) & m != m:
                 return
             left -= wc
             if nb & unassigned:
                 room += hi - wc
                 if wc < lo:
                     need += lo - wc
-            elif wc < lo or not connected(m):
+            elif wc < lo:
                 return
         if not need <= left <= room:
             return

@@ -543,14 +543,40 @@ def _min_max_move_fault(monkeypatch):
     return path_graph(7), ["solve", "--k", "3"]
 
 
+def _disconnected_pull_fault(monkeypatch):
+    # On the 7-star the two light leaves are not adjacent, so the first
+    # move is a pull; this one puts two leaves in each light class.
+    center, pair, other = frozenset({0}), frozenset({1, 2}), frozenset({5, 6})
+    broken = ((pair, 2, center), (other, 2, center), (frozenset({0, 3, 4}), 3, pair | other))
+    monkeypatch.setattr(bcp.minmax, "pull", lambda g, state, i: broken)
+    return star_graph(7), ["solve", "--k", "3"]
+
+
+def _stalled_loop_fault(monkeypatch):
+    # With no move applied, the starting partition reaches the star
+    # certificate, whose light classes touch.
+    monkeypatch.setattr(bcp.minmax, "merge", lambda g, state: None)
+    monkeypatch.setattr(bcp.minmax, "pull_check", lambda g, state, i: None)
+    return generate("spider", 40), ["solve", "--k", "3"]
+
+
 @pytest.mark.parametrize(
     "fault, message",
     [
         (_tree_split_fault, r"answer is not a connected partition: class 1 \(\[1, 2\]\)"),
         (_search_witness_fault, r"answer is not a connected partition: class 0 "),
         (_min_max_move_fault, r"heaviest class weight did not decrease$"),
+        (
+            _disconnected_pull_fault,
+            r"minmax_bcpk\(\) broke a step's contract: order3\(\) needs a valid "
+            r"3-partition: class 0 \(\[1, 2\]\) is disconnected; class 1 ",
+        ),
+        (
+            _stalled_loop_fault,
+            r"minmax_bcpk\(\) broke a step's contract: V1 and V2 must not be adjacent$",
+        ),
     ],
-    ids=["tree-split", "search-witness", "min-max-move"],
+    ids=["tree-split", "search-witness", "min-max-move", "min-max-pull", "min-max-stall"],
 )
 def test_solver_fault_is_exit_4_with_one_line(fault, message, tmp_path, capsys, monkeypatch):
     """A broken solver invariant is a bug, not bad input: exit 4 with one

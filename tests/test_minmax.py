@@ -504,12 +504,12 @@ def test_pull_check_complete_against_oracle():
 
 def test_broken_move_caught_once_per_solve(monkeypatch):
     """A move that breaks connectivity still raises, from the loop's one
-    `order3` check on its terminal partition."""
+    `order3` check on its terminal partition, as the solver's own fault."""
     g = path_graph(5)
     p = initial_3partition(g)
     assert merge(g, carried(g, p)) is not None
     monkeypatch.setattr("bcp.minmax.split_two", lambda g, s: (fs(0, 2), fs(1)))
-    with pytest.raises(ContractViolation, match="disconnected"):
+    with pytest.raises(InternalError, match="order3.*disconnected"):
         minmax_bcpk(g, 3)
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -156,16 +157,37 @@ class TestExactValues:
             assert validate(g, witness, k) == []
 
 
+def _vertex_cap_solves(family):
+    """Each solve of the vertex-cap grid: seeds 0 and 1, weights 1 and 1-9,
+    k 3 and 4, both objectives."""
+    for seed in (0, 1):
+        for weights in ((1, 1), (1, 9)):
+            g = generate(family, MAX_VERTICES, weights, seed)
+            for k in (3, 4):
+                for solve, objective in ((exact_minmax, max), (exact_maxmin, min)):
+                    yield g, k, solve, objective
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_every_family_at_the_vertex_cap_solves_inside_two_seconds(family):
     # A search past the budget raises BudgetExceeded instead of returning.
-    for weights in ((1, 1), (1, 9)):
-        g = generate(family, MAX_VERTICES, weights, 1)
-        for k in (3, 4):
-            for solve, objective in ((exact_minmax, max), (exact_maxmin, min)):
-                value, witness = solve(g, k, max_seconds=2.0)
-                assert validate(g, witness, k) == []
-                assert value == objective(g.weight(c) for c in witness)
+    for g, k, solve, objective in _vertex_cap_solves(family):
+        value, witness = solve(g, k, max_seconds=2.0)
+        assert validate(g, witness, k) == []
+        assert value == objective(g.weight(c) for c in witness)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_oracle_memory_does_not_grow_as_two_to_the_n(family):
+    # A table indexed by class mask would take 2^16 bytes = 64 KiB alone.
+    for g, k, solve, _ in _vertex_cap_solves(family):
+        tracemalloc.start()
+        try:
+            solve(g, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 1024
 
 
 @pytest.mark.parametrize("max_weight", [1, 9, 1000], ids=["1:1", "1:9", "1:1000"])
@@ -223,10 +245,10 @@ class CountingWindow(list):
 
 @pytest.mark.parametrize(
     "family, k, nodes",
-    [("grid", 3, (19536, 1616, 2773)), ("tree-plus-edges", 3, (11540, 1505, 3100)),
-     ("random-tree", 4, (14305, 1062, 1680)), ("spider", 2, (852, 661, 686)),
-     ("star", 3, (285, 92, 47)), ("tree-plus-edges", 5, (59006, 714, 4016)),
-     ("grid", 5, (92957, 1113, 3864))],
+    [("grid", 3, (5432, 488, 713)), ("tree-plus-edges", 3, (1082, 163, 234)),
+     ("random-tree", 4, (983, 130, 160)), ("spider", 2, (119, 88, 94)),
+     ("star", 3, (285, 92, 47)), ("tree-plus-edges", 5, (6242, 118, 396)),
+     ("grid", 5, (26372, 478, 1473))],
 )
 def test_window_cuts_pin_node_counts(family, k, nodes):
     # Outputs cannot show a lost cut, only the work can: nodes visited for
