@@ -405,6 +405,7 @@ def _distribute(
         return best
 
     best = node(floor)
+    del node  # a cycle through its own closure cell; free the node state now, not at gc
     if best is None:
         return None
     value, alloc = best
@@ -448,9 +449,9 @@ def solve_fpt_maxmin(
     assignment is finished by the exact count distribution, with lazy
     connectivity cuts repairing disconnected candidates; a leaf of a kind
     whose transport without covers already failed is skipped, which
-    changes no node count, cut or witness.  The best leaf is decoded once.
-    Either answer is validated once, an InternalError unless it is a
-    connected k-partition, and returned in `sort_classes` order.
+    changes no node count, cut or witness.  The best leaf is decoded once;
+    a decode fault, or an answer that is not a connected k-partition, is an
+    InternalError.  Either answer is returned in `sort_classes` order.
     """
     if len(set(g.weights)) > 1:
         raise InputError("max-min solver handles uniform weights only")
@@ -564,9 +565,13 @@ def solve_fpt_maxmin(
                 class_masks[c] &= ~bit
 
         dfs(0, 0)
+        del dfs  # a cycle through its own closure cell; free the search now, not at gc
         if best is None:
             raise InternalError("search found no connected partition")
-        count, classes = best_value, reconstruct(dec, *best)
+        try:
+            count, classes = best_value, reconstruct(dec, *best)
+        except ContractViolation as exc:
+            raise InternalError(f"allocation broke reconstruct's contract: {exc}") from exc
     report = validate(g, classes, k)
     if report:
         raise InternalError("answer is not a connected partition: " + "; ".join(report))

@@ -25,9 +25,9 @@ singletons after `initial_3partition`.
   U = V3 - H into Vi updates B(Vi) and B(H) from the adjacency of B(V3) and
   of B(Vi) & U, which holds v, without reading U's; the other light class
   keeps its boundary.
-- A merge tests B(V1) against V2, fuses B(V1) and B(V2), and splits V3
-  along a spanning tree of G[V3], so it walks all of V3, as do the two
-  halves' boundaries; merges are rare.
+- A merge tests B(V1) against V2 and splits V3 along a spanning tree of
+  G[V3], walking all of V3; `_records` then sums its three classes and reads
+  the adjacency of the two lighter ones only.  Merges are rare.
 
 What still scans whole classes is set work in C: copying Vi | U and V3 - U,
 and the smallest id of a class on a weight tie, which is rare.  The loop's
@@ -77,11 +77,6 @@ Record = tuple[VertexSet, int, VertexSet]  # (members, weight, outer boundary N(
 State = tuple[Record, Record, Record]
 
 
-def _boundary(g: WeightedGraph, c: VertexSet) -> VertexSet:
-    """B(c) = N(c) - c, from the adjacency of every member of c."""
-    return frozenset(chain.from_iterable(map(g.adjacency.__getitem__, c))) - c
-
-
 def _records(g: WeightedGraph, p: Partition) -> State:
     """The record of each class of a 3-partition, from scratch but reading
     only the adjacency of V1 and V2, once each: B(V3) holds their members
@@ -114,19 +109,12 @@ def merge(g: WeightedGraph, state: State) -> State | None:
     V1 touches V2, and the halves are the sides of a deleted spanning-tree
     edge of G[V3].
     """
-    (v1, w1, b1), (v2, w2, b2), (v3, w3, _) = state
+    (v1, _, b1), (v2, _, _), (v3, w3, _) = state
     if 2 * w3 <= g.total_weight:
         raise ContractViolation("merge() requires w(V3) > w(G)/2")
     if len(v3) < 2 or b1.isdisjoint(v2):
         return None
-    fused = v1 | v2
-    a, b = split_two(g, v3)
-    wb = g.weight(b)
-    return _ordered(
-        (fused, w1 + w2, (b1 | b2) - fused),
-        (a, w3 - wb, _boundary(g, a)),
-        (b, wb, _boundary(g, b)),
-    )
+    return _records(g, sort_classes(g, (v1 | v2, *split_two(g, v3))))
 
 
 def pull_check(g: WeightedGraph, state: State, i: int) -> tuple[VertexSet, int, VertexSet] | None:

@@ -26,9 +26,9 @@ from __future__ import annotations
 import time
 from typing import Callable, Iterable, Iterator
 
-from .errors import BudgetExceeded, ContractViolation
+from .errors import BudgetExceeded, ContractViolation, InternalError
 from .graph import WeightedGraph, mask_reach
-from .partition import Partition
+from .partition import Partition, validate
 
 # Hard caps for exhaustive enumeration; exceeding one, or the optional time
 # budget, raises BudgetExceeded rather than truncating silently.
@@ -121,6 +121,7 @@ def _search(
             classes.pop()
 
     yield from recurse(1)
+    del recurse  # a cycle through its own closure cell; free the search now, not at gc
 
 
 def _optimum(
@@ -130,17 +131,22 @@ def _optimum(
     objective: Callable[[Iterable[int]], int],
 ) -> tuple[int, Partition]:
     """Optimum over all connected k-partitions of the class-weight objective:
-    max (heaviest class) is minimized by lowering hi below each value found,
-    min (lightest class) maximized by raising lo above it.  Each partition
-    found is strictly better than the last, so the last is the optimum."""
+    max is minimized by lowering hi below each value found, min maximized by
+    raising lo above it.  Each partition found beats the last, so the last is
+    the optimum: InternalError unless it is a connected k-partition of its value."""
     window = [0, g.total_weight]
     side, step = (1, -1) if objective is max else (0, 1)
-    best: tuple[int, Partition] | None = None
+    value, p = 0, None
     for weights, p in _search(g, k, max_seconds, window):
-        best = (objective(weights), p)
-        window[side] = best[0] + step
-    assert best is not None  # every connected graph has a connected k-partition
-    return best
+        value = objective(weights)
+        window[side] = value + step
+    if p is None:  # a connected graph always has a connected k-partition
+        raise InternalError("search found no connected partition")
+    report = validate(g, p, k)
+    if report or value != objective(map(g.weight, p)):
+        reason = "; ".join(report) or f"its class weights' {objective.__name__} differs"
+        raise InternalError(f"witness of value {value} is wrong: {reason}")
+    return value, p
 
 
 def exact_minmax(

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import re
@@ -16,6 +17,8 @@ import bcp.cli
 import bcp.fpt
 import bcp.graph
 import bcp.minmax
+import bcp.oracle
+import bcp.scaling
 from bcp.cli import run_cli
 from bcp.instances import generate, parse_instance, write_instance
 from bcp.partition import sort_classes
@@ -538,6 +541,30 @@ def _search_witness_fault(monkeypatch):
     return generate("random-tree", 20, (1, 1), 2), ["fpt-maxmin", "--k", "3"]
 
 
+def _over_allocation_fault(monkeypatch):
+    distribute = bcp.fpt._distribute
+
+    def one_unit_too_many(*args, **kwargs):
+        found = distribute(*args, **kwargs)
+        if found is not None:
+            found[1][0][0] += 1
+        return found
+
+    monkeypatch.setattr(bcp.fpt, "_distribute", one_unit_too_many)
+    return generate("random-tree", 20, (1, 1), 2), ["fpt-maxmin", "--k", "3"]
+
+
+def _oracle_search_fault(*found):
+    """The exact search on the unit 5-path at k=3 yields only `found`,
+    each a (class weights, partition) pair."""
+
+    def fault(monkeypatch):
+        monkeypatch.setattr(bcp.oracle, "_search", lambda g, k, max_seconds, window: iter(found))
+        return path_graph(5), ["exact", "--objective", "minmax", "--k", "3"]
+
+    return fault
+
+
 def _min_max_move_fault(monkeypatch):
     monkeypatch.setattr(bcp.minmax, "merge", lambda g, state: state)
     return path_graph(7), ["solve", "--k", "3"]
@@ -575,8 +602,25 @@ def _stalled_loop_fault(monkeypatch):
             _stalled_loop_fault,
             r"minmax_bcpk\(\) broke a step's contract: V1 and V2 must not be adjacent$",
         ),
+        (
+            _over_allocation_fault,
+            r"allocation broke reconstruct's contract: "
+            r"neighborhood \[1, 4, 11\] distributes \[2, 0, 0\] of 1$",
+        ),
+        (
+            _oracle_search_fault(((2, 1, 2), ({0, 2}, {1}, {3, 4}))),
+            r"witness of value 2 is wrong: class 0 \(\[0, 2\]\) is disconnected$",
+        ),
+        (
+            _oracle_search_fault(((1, 1, 1), ({0, 1}, {2}, {3, 4}))),
+            r"witness of value 1 is wrong: its class weights' max differs$",
+        ),
+        (_oracle_search_fault(), r"search found no connected partition$"),
     ],
-    ids=["tree-split", "search-witness", "min-max-move", "min-max-pull", "min-max-stall"],
+    ids=[
+        "tree-split", "search-witness", "min-max-move", "min-max-pull", "min-max-stall",
+        "fpt-allocation", "oracle-witness", "oracle-value", "oracle-none",
+    ],
 )
 def test_solver_fault_is_exit_4_with_one_line(fault, message, tmp_path, capsys, monkeypatch):
     """A broken solver invariant is a bug, not bad input: exit 4 with one
@@ -589,6 +633,35 @@ def test_solver_fault_is_exit_4_with_one_line(fault, message, tmp_path, capsys, 
     assert "partition:" not in out
     [line] = err.splitlines()
     assert re.match("internal error: " + message, line)
+
+
+_GRID12 = generate("grid", 12, (1, 9), 1)
+
+
+@pytest.mark.parametrize(
+    "solve, g, nodes",
+    [
+        (lambda g: bcp.minmax.minmax_bcpk(g, 3), _GRID12, None),
+        (lambda g: bcp.scaling.eps_minmax_bcpk(g, 3, Fraction(1, 4)), _GRID12, None),
+        (lambda g: bcp.oracle.exact_minmax(g, 3), _GRID12, None),
+        (lambda g: bcp.oracle.exact_maxmin(g, 3), _GRID12, None),
+        (lambda g: bcp.fpt.solve_fpt_maxmin(g, 3), generate("grid", 12, (1, 1), 1), 0),
+        (lambda g: bcp.fpt.solve_fpt_maxmin(g, 3), generate("random-tree", 16, (1, 1), 0), 537),
+    ],
+    ids=["minmax", "eps-minmax", "exact-minmax", "exact-maxmin", "fpt-split", "fpt-search"],
+)
+def test_a_returning_solve_leaves_no_reference_cycle(solve, g, nodes):
+    """A solve that returns leaves nothing for the cycle collector: its
+    search state and the graph are freed as soon as it is done."""
+    gc.collect()
+    gc.disable()
+    try:
+        result = solve(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    if nodes is not None:
+        assert result.nodes == nodes
 
 
 def test_no_command_is_exit_2():
